@@ -9,6 +9,7 @@ so identical inputs produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 import numpy as np
@@ -41,12 +42,12 @@ def fmt_num(x) -> str:
 
 def render_json(obj) -> str:
     if isinstance(obj, dict):
-        inner = ",".join(f'"{k}":{render_json(v)}' for k, v in obj.items())
+        inner = ",".join(f"{render_json(k)}:{render_json(v)}" for k, v in obj.items())
         return "{" + inner + "}"
     if isinstance(obj, (list, tuple, np.ndarray)):
         return "[" + ",".join(render_json(v) for v in obj) + "]"
     if isinstance(obj, str):
-        return '"' + obj + '"'
+        return json.dumps(obj, ensure_ascii=False)
     if isinstance(obj, bool):
         return "true" if obj else "false"
     return fmt_num(obj)

@@ -2,8 +2,10 @@
 
 Five kinds: expected loss (el), expected shortfall (es), expectile value
 at risk (evar), mean plus semi-deviation (msd), and maximum loss (ml).
-Each evaluates exactly on the finite space; el/es/ml additionally expose a
-worst-case reweighting attaining the dual representation
+Each evaluates exactly on the finite space through one kernel per
+measure: sort-free sums for el, msd and ml, one sorted lower tail for es,
+and an exact expectile root from one sort for evar. el/es/ml additionally
+expose a worst-case reweighting attaining the dual representation
 rho(Z) = max_q E_q[-Z].
 """
 
@@ -17,8 +19,6 @@ from .errors import CapabilityError, DomainError, ValidationError
 from .spaces import MeasureWeights, ScenarioVariable
 
 _SPEC_HELP = "el | es:<alpha> | evar:<alpha> | msd:<beta> | ml"
-
-_EVAR_BISECT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -89,88 +89,50 @@ class CoherentRiskMeasure:
         return self.kind in ("el", "es", "ml")
 
 
-def _es_tail_weights(Z: ScenarioVariable, alpha: float) -> np.ndarray:
-    """Probability mass per outcome clipped to the lower alpha-tail.
+def _sorted_tail(Z: np.ndarray, p: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Stable row-wise order of Z and each sorted outcome's mass clipped to
+    the lower alpha-tail.
 
-    Sorts by (value, index) for a deterministic fractional boundary atom;
-    the returned masses sum to alpha.
+    Ties break by index, so the fractional boundary atom is deterministic;
+    each row of masses sums to alpha.
     """
-    values = Z.values
-    p = Z.space.p
-    order = np.lexsort((np.arange(values.size), values))
-    w = np.zeros_like(p)
-    remaining = alpha
-    for i in order:
-        if remaining <= 0.0:
-            break
-        take = min(p[i], remaining)
-        w[i] = take
-        remaining -= take
-    return w
+    order = np.argsort(Z, axis=1, kind="stable")
+    ps = p[order]
+    return order, np.clip(alpha - (np.cumsum(ps, axis=1) - ps), 0.0, ps)
+
+
+def _expectile_root(Z: np.ndarray, p: np.ndarray, alpha: float) -> np.ndarray:
+    """Row-wise root x of g(x) = alpha E[(Z-x)+] - (1-alpha) E[(x-Z)+].
+
+    g is strictly decreasing and linear between sorted outcomes. Its values
+    at the outcomes, from two cumulative sums, pick the piece where it
+    changes sign; there the root is the mean of Z reweighted by alpha above
+    and 1-alpha below, exact to roundoff (downstream difference quotients
+    divide by tiny steps and would amplify any fixed root tolerance).
+    """
+    order = np.argsort(Z, axis=1)
+    zs = np.take_along_axis(Z, order, axis=1)
+    ps = p[order]
+    first = np.cumsum(ps * zs, axis=1)
+    # at x = zs_k: E[(x-Z)+] = x P(Z <= x) - E[Z; Z <= x] and
+    # E[(Z-x)+] = E[Z] - x + E[(x-Z)+]
+    shortfall = zs * np.cumsum(ps, axis=1) - first
+    g = alpha * (first[:, -1:] - zs) - (1.0 - 2.0 * alpha) * shortfall
+    below = np.arange(zs.shape[1]) < (g > 0.0).sum(axis=1)[:, None]
+    w = ps * np.where(below, 1.0 - alpha, alpha)
+    return (w * zs).sum(axis=1) / w.sum(axis=1)
 
 
 def evaluate(rho: CoherentRiskMeasure, Z: ScenarioVariable) -> float:
-    p = Z.space.p
-    z = Z.values
-    kind, a = rho.kind, rho.param
-    if kind == "el":
-        return float(-np.dot(p, z))
-    if kind == "es":
-        w = _es_tail_weights(Z, a)
-        return float(-np.dot(w, z) / a)
-    if kind == "evar":
-        return -_expectile_root(z, p, a)
-    if kind == "msd":
-        mean = float(np.dot(p, z))
-        semi = float(np.sqrt(np.dot(p, np.maximum(mean - z, 0.0) ** 2)))
-        return -mean + a * semi
-    if kind == "ml":
-        return float(-z.min())
-    raise AssertionError(f"unreachable kind {kind!r}")
-
-
-def _expectile_root(z: np.ndarray, p: np.ndarray, alpha: float) -> float:
-    """Unique root of g(x) = alpha E[(Z-x)+] - (1-alpha) E[(x-Z)+].
-
-    g is continuous, strictly decreasing, and piecewise linear with a
-    sign change inside [min Z, max Z]; bisection brackets the root, then
-    the linear piece containing it is solved in closed form so the result
-    is exact to roundoff (downstream difference quotients divide by tiny
-    steps and would amplify any fixed root tolerance).
-    """
-
-    def g(x: float) -> float:
-        return alpha * float(np.dot(p, np.maximum(z - x, 0.0))) - (
-            1.0 - alpha
-        ) * float(np.dot(p, np.maximum(x - z, 0.0)))
-
-    lo, hi = float(z.min()), float(z.max())
-    if lo == hi:
-        return lo
-    for _ in range(200):
-        if hi - lo <= _EVAR_BISECT_TOL:
-            break
-        mid = 0.5 * (lo + hi)
-        if g(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    x = 0.5 * (lo + hi)
-    above = z > x
-    below = z < x
-    num = alpha * float(np.dot(p[above], z[above])) + (1.0 - alpha) * float(
-        np.dot(p[below], z[below])
-    )
-    den = alpha * float(p[above].sum()) + (1.0 - alpha) * float(p[below].sum())
-    return num / den if den > 0.0 else x
+    return float(evaluate_batch(rho, Z.values[None, :], Z.space.p)[0])
 
 
 def evaluate_batch(rho: CoherentRiskMeasure, Z: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Evaluate rho row-wise on a (m, n) matrix of scenario payoffs.
 
     Row k is treated as one ScenarioVariable on the space with
-    probabilities p. Matches `evaluate` up to the same tolerances; used by
-    the grid oracle where per-row construction would dominate runtime.
+    probabilities p. `evaluate` is row 0 of this; the grid oracle passes
+    many rows at once, where per-row construction would dominate runtime.
     """
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
     kind, a = rho.kind, rho.param
@@ -183,34 +145,10 @@ def evaluate_batch(rho: CoherentRiskMeasure, Z: np.ndarray, p: np.ndarray) -> np
         semi = np.sqrt(np.maximum(mean[:, None] - Z, 0.0) ** 2 @ p)
         return -mean + a * semi
     if kind == "es":
-        idx = np.argsort(Z, axis=1, kind="stable")
-        Zs = np.take_along_axis(Z, idx, axis=1)
-        ps = p[idx]
-        before = np.cumsum(ps, axis=1) - ps
-        w = np.clip(a - before, 0.0, ps)
-        return -(w * Zs).sum(axis=1) / a
+        order, w = _sorted_tail(Z, p, a)
+        return -(w * np.take_along_axis(Z, order, axis=1)).sum(axis=1) / a
     if kind == "evar":
-        lo = Z.min(axis=1)
-        hi = Z.max(axis=1)
-        for _ in range(120):
-            if float((hi - lo).max()) <= _EVAR_BISECT_TOL:
-                break
-            mid = 0.5 * (lo + hi)
-            gmid = a * (np.maximum(Z - mid[:, None], 0.0) @ p) - (1.0 - a) * (
-                np.maximum(mid[:, None] - Z, 0.0) @ p
-            )
-            take = gmid > 0.0
-            lo = np.where(take, mid, lo)
-            hi = np.where(take, hi, mid)
-        # solve the bracketed linear piece exactly, as in _expectile_root
-        mid = 0.5 * (lo + hi)
-        above = Z > mid[:, None]
-        below = Z < mid[:, None]
-        num = a * (np.where(above, Z, 0.0) @ p) + (1.0 - a) * (
-            np.where(below, Z, 0.0) @ p
-        )
-        den = a * (above @ p) + (1.0 - a) * (below @ p)
-        return -np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), mid)
+        return -_expectile_root(Z, p, a)
     raise AssertionError(f"unreachable kind {kind!r}")
 
 
@@ -229,10 +167,9 @@ def payoff_gradient(rho: CoherentRiskMeasure, z: np.ndarray, p: np.ndarray) -> n
         grad[int(np.argmin(z))] = -1.0
         return grad
     if kind == "es":
-        order = np.lexsort((np.arange(z.size), z))
-        before = np.concatenate([[0.0], np.cumsum(p[order])[:-1]])
+        order, tail = _sorted_tail(z[None, :], p, a)
         w = np.zeros_like(p)
-        w[order] = np.clip(a - before, 0.0, p[order])
+        w[order[0]] = tail[0]
         return -w / a
     if kind == "msd":
         mean = float(np.dot(p, z))
@@ -242,7 +179,7 @@ def payoff_gradient(rho: CoherentRiskMeasure, z: np.ndarray, p: np.ndarray) -> n
             return -p
         return -p + a * p * (float(np.dot(p, u)) - u) / s
     if kind == "evar":
-        e = _expectile_root(z, p, a)
+        e = _expectile_root(z[None, :], p, a)[0]
         weight = np.where(z > e, a, 0.0) + np.where(z < e, 1.0 - a, 0.0)
         denom = float(np.dot(p, weight))
         if denom == 0.0:
@@ -256,16 +193,9 @@ def dual_maximizer(rho: CoherentRiskMeasure, Z: ScenarioVariable) -> MeasureWeig
 
     Supported for el (q = p), es (lower-tail density 1/alpha with a
     fractional boundary atom), and ml (point mass on the lowest-index
-    minimum). evar and msd do not expose a tractable maximizer here.
+    minimum), where q is the negated payoff gradient. evar and msd do not
+    expose a tractable maximizer here.
     """
     if not rho.has_dual_maximizer:
         raise CapabilityError(f"dual_maximizer is unsupported for {rho.spec_string()!r}")
-    kind = rho.kind
-    if kind == "el":
-        return MeasureWeights(Z.space.p)
-    if kind == "es":
-        w = _es_tail_weights(Z, rho.param)
-        return MeasureWeights(w / rho.param)
-    q = np.zeros(Z.values.size)
-    q[int(np.argmin(Z.values))] = 1.0
-    return MeasureWeights(q)
+    return MeasureWeights(-payoff_gradient(rho, Z.values, Z.space.p))

@@ -114,25 +114,16 @@ def solve(rho: CoherentRiskMeasure, s: ScoreFunction, X: ScenarioVariable,
     h = max(tol, 1e-9 * rng)
     g = _Objective(rho, s, X)
 
+    # bracket the minimizer set by bisecting the sign of the exact
+    # subgradient (difference quotients cancel to noise near a smooth
+    # minimum); a strictly convex objective has a single minimizer
+    left = _derivative_bisection(rho, s, X, a, b, tol, g, "left")
     if s.smooth_strictly_convex:
-        # strictly convex objective: single minimizer, located by bisecting
-        # the sign of the exact subgradient (difference quotients cancel to
-        # noise near a smooth minimum)
-        left = right = _derivative_bisection(rho, s, X, a, b, tol, g, "left")
-    elif s.differentiable:
-        # differentiable but possibly flat at the bottom (huber, barron:1):
-        # bracket the minimizer set with two exact-derivative bisections
-        left = _derivative_bisection(rho, s, X, a, b, tol, g, "left")
-        right = _derivative_bisection(rho, s, X, a, b, tol, g, "right")
-        if left > right:
-            left = right = 0.5 * (left + right)
+        right = left
     else:
-        # kinked scores: bracket the minimizer set with one-sided
-        # subgradient bisections (exact, no difference-quotient noise)
-        left = _derivative_bisection(rho, s, X, a, b, tol, g, "left")
         right = _derivative_bisection(rho, s, X, a, b, tol, g, "right")
         if left > right:
-            if left - right > 10.0 * max(tol, h):
+            if not s.differentiable and left - right > 10.0 * max(tol, h):
                 raise ContractError(
                     "minimizer endpoints crossed beyond slack; "
                     "score/risk implementation violates convexity"

@@ -9,7 +9,6 @@ outcome set (used as candidate measures in worst-case expectations).
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -184,8 +183,6 @@ def load_csv(source) -> tuple[FiniteScenarioSpace, dict[str, ScenarioVariable]]:
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
         with open(source, newline="") as handle:
             return load_csv(handle)
-    if isinstance(source, str):  # pragma: no cover - handled above
-        source = io.StringIO(source)
 
     reader = csv.reader(source)
     try:

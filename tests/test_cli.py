@@ -80,6 +80,13 @@ class TestReports:
         assert len(report["w"]) == 2
         assert report["residual_deviation"] >= 0.0
 
+    def test_json_escapes_column_names(self, capsys, tmp_path):
+        data = tmp_path / "quoted.csv"
+        data.write_text('"x""y"\n1\n2\n3\n')
+        code, out, _ = run_cli(["solve", str(data)], capsys)
+        assert code == 0
+        assert json.loads(out)["target"] == 'x"y'
+
     def test_plain_format_same_payload(self, capsys):
         args = GOLDEN[1][0]
         _, json_out, _ = run_cli(args, capsys)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from scorerisk import (
     CapabilityError,
@@ -35,6 +36,42 @@ ALL_RISKS = [
 def random_variable(rng, n=None):
     n = n or int(rng.integers(3, 20))
     return wvar(rng.normal(0, 2, n), rng.dirichlet(np.ones(n)))
+
+
+def greedy_es_weights(z, p, alpha):
+    """Lower alpha-tail masses, filled outcome by outcome in (value, index)
+    order."""
+    w = np.zeros_like(p)
+    remaining = alpha
+    for i in np.lexsort((np.arange(z.size), z)):
+        if remaining <= 0.0:
+            break
+        take = min(p[i], remaining)
+        w[i] = take
+        remaining -= take
+    return w
+
+
+def expectile_gap(z, p, alpha, x):
+    """alpha E[(Z-x)+] - (1-alpha) E[(x-Z)+]; zero at the expectile."""
+    return alpha * np.dot(p, np.maximum(z - x, 0.0)) - (1.0 - alpha) * np.dot(
+        p, np.maximum(x - z, 0.0)
+    )
+
+
+def reference_risk(rho, z, p):
+    """Each measure from its definition, one row at a time."""
+    a = rho.param
+    if rho.kind == "el":
+        return -np.dot(p, z)
+    if rho.kind == "es":
+        return -np.dot(greedy_es_weights(z, p, a), z) / a
+    if rho.kind == "evar":
+        return -brentq(lambda x: expectile_gap(z, p, a, x), z.min(), z.max(), xtol=1e-15)
+    if rho.kind == "msd":
+        mean = np.dot(p, z)
+        return -mean + a * np.sqrt(np.dot(p, np.maximum(mean - z, 0.0) ** 2))
+    return -z.min()
 
 
 class TestConstruction:
@@ -118,9 +155,41 @@ class TestValues:
         for rho in ALL_RISKS:
             batch = evaluate_batch(rho, Z, p)
             for k in range(Z.shape[0]):
-                assert batch[k] == pytest.approx(
-                    risk_value(rho, wvar(Z[k], p)), abs=1e-11
-                )
+                assert batch[k] == pytest.approx(reference_risk(rho, Z[k], p), abs=1e-11)
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.2, 0.5])
+    def test_evar_root_solves_defining_equation(self, alpha, rng):
+        # rounding to a coarse grid makes ties and roots on outcomes common
+        rho = CoherentRiskMeasure.evar(alpha)
+        for decimals in (None, 0):
+            Z = rng.normal(0, 3, (40, 9))
+            if decimals is not None:
+                Z = np.round(Z, decimals)
+            p = rng.dirichlet(np.ones(9))
+            for z, value in zip(Z, evaluate_batch(rho, Z, p)):
+                scale = 1.0 + z.max() - z.min()
+                assert abs(expectile_gap(z, p, alpha, -value)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize(
+        "alpha, values, p, expected",
+        [
+            (0.2, [0, 1], [0.5, 0.5], -0.2),
+            (0.2, [0, 1], [0.25, 0.75], -3 / 7),
+            # the root lands on an outcome
+            (0.5, [0, 1, 2], [1 / 3, 1 / 3, 1 / 3], -1.0),
+        ],
+    )
+    def test_evar_hand_checked(self, alpha, values, p, expected):
+        value = risk_value(CoherentRiskMeasure.evar(alpha), wvar(values, p))
+        assert value == pytest.approx(expected, abs=1e-15)
+
+    def test_es_tie_with_fractional_boundary_atom(self):
+        # the two zeros fill the 0.25-tail in index order: all of the
+        # first (0.2), then 0.05 of the second
+        Z = wvar([1, 0, 0, 3], [0.1, 0.2, 0.3, 0.4])
+        rho = CoherentRiskMeasure.es(0.25)
+        assert risk_value(rho, Z) == pytest.approx(0.0, abs=1e-15)
+        np.testing.assert_allclose(dual_maximizer(rho, Z).q, [0, 0.8, 0.2, 0], atol=1e-15)
 
 
 class TestAxioms:
