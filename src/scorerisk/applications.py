@@ -15,7 +15,7 @@ import numpy as np
 
 from . import conditional, convexnd, solver
 from .errors import DomainError, ValidationError
-from .risk import CoherentRiskMeasure, evaluate_batch
+from .risk import CoherentRiskMeasure
 from .scores import ScoreFunction
 from .spaces import ScenarioVariable
 
@@ -75,13 +75,10 @@ def _portfolio_direct(rho, s, assets, V, tol):
     """Minimize rho(-f(sum w_i X_i - y)) over (w_1..w_{n-1}, y), with the
     budget substituted as w_n = 1 - sum of the others."""
     space = assets[0].space
-    p = space.p
     n = V.shape[1]
-
-    def F(theta: np.ndarray) -> float:
-        w = np.concatenate([theta[:-1], [1.0 - theta[:-1].sum()]])
-        payoff = V @ w - theta[-1]
-        return float(evaluate_batch(rho, -s.f(payoff)[None, :], p)[0])
+    # V w - y = V_n - B theta with theta = (w_1..w_{n-1}, y)
+    B = np.column_stack([V[:, -1:] - V[:, :-1], np.ones(V.shape[0])])
+    F, grad = conditional._affine_objective(rho, s, V[:, -1], B, space.p)
 
     w0 = np.full(n - 1, 1.0 / n)
     equal = ScenarioVariable(space, V.mean(axis=1))
@@ -91,7 +88,7 @@ def _portfolio_direct(rho, s, assets, V, tol):
     ranges = np.ptp(V, axis=0) + 1.0
     steps = np.concatenate([y_scale / ranges[:-1], [y_scale]])
 
-    result = convexnd.minimize_convex(F, theta0, steps, tol)
+    result = convexnd.minimize_convex(F, grad, theta0, steps, tol)
     w = np.concatenate([result.x[:-1], [1.0 - result.x[:-1].sum()]])
     return PortfolioWeights(w), result.value
 

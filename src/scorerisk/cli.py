@@ -55,24 +55,15 @@ def render_json(obj) -> str:
 
 def render_plain(obj, prefix: str = "") -> str:
     lines = []
-    if isinstance(obj, dict):
-        for k, v in obj.items():
-            key = f"{prefix}{k}"
-            if isinstance(v, (dict, list, tuple, np.ndarray)):
-                lines.append(render_plain(v, key + "."))
-            elif isinstance(v, str):
-                lines.append(f"{key} {v}")
-            else:
-                lines.append(f"{key} {fmt_num(v)}")
-    else:
-        for i, v in enumerate(obj):
-            key = f"{prefix}{i}"
-            if isinstance(v, (dict, list, tuple, np.ndarray)):
-                lines.append(render_plain(v, key + "."))
-            elif isinstance(v, str):
-                lines.append(f"{key} {v}")
-            else:
-                lines.append(f"{key} {fmt_num(v)}")
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+    for k, v in items:
+        key = f"{prefix}{k}"
+        if isinstance(v, (dict, list, tuple, np.ndarray)):
+            lines.append(render_plain(v, key + "."))
+        elif isinstance(v, str):
+            lines.append(f"{key} {v}")
+        else:
+            lines.append(f"{key} {fmt_num(v)}")
     return "\n".join(lines)
 
 

@@ -23,7 +23,7 @@ from .errors import (
     SingularDesignError,
     UnsupportedScoreError,
 )
-from .risk import CoherentRiskMeasure, evaluate_batch
+from .risk import CoherentRiskMeasure, evaluate_batch, payoff_gradient
 from .scores import ScoreFunction
 from .spaces import ScenarioVariable
 
@@ -53,9 +53,8 @@ def _design_matrix(Y: ScenarioVariable, X: list[ScenarioVariable]) -> np.ndarray
     return np.column_stack([xi.values for xi in X])
 
 
-def _check_design(A: np.ndarray, p: np.ndarray) -> None:
-    full = np.column_stack([np.ones(A.shape[0]), A])
-    gram = full.T @ (p[:, None] * full)
+def _check_design(B: np.ndarray, p: np.ndarray) -> None:
+    gram = B.T @ (p[:, None] * B)
     if np.linalg.cond(gram) > _COND_LIMIT:
         raise SingularDesignError(
             "design is collinear (intercept included); condition estimate above 1e12"
@@ -76,23 +75,21 @@ def fit(rho: CoherentRiskMeasure, s: ScoreFunction, Y: ScenarioVariable,
     p = Y.space.p
     y = Y.values
     n = A.shape[1]
-    _check_design(A, p)
-
-    def F(theta: np.ndarray) -> float:
-        resid = y - theta[0] - A @ theta[1:]
-        return float(evaluate_batch(rho, -s.f(resid)[None, :], p)[0])
+    B = np.column_stack([np.ones(A.shape[0]), A])
+    _check_design(B, p)
+    F, grad = _affine_objective(rho, s, y, B, p)
 
     y_range = float(np.ptp(y)) + 1.0
     col_ranges = np.ptp(A, axis=0) + 1.0
     steps = np.concatenate([[y_range], y_range / col_ranges])
 
-    mu0 = -solver.solve(rho, s, Y, tol).r_value
-    theta0 = np.concatenate([[mu0], np.zeros(n)])
+    unconditional = solver.solve(rho, s, Y, tol)
+    theta0 = np.concatenate([[-unconditional.r_value], np.zeros(n)])
 
     if relaxed and s.kind in ("pinball", "cost", "absolute"):
-        theta0 = _linear_program_phase(s, y, A, p)
+        theta0 = _linear_program_phase(s, y, B, p)
 
-    result = convexnd.minimize_convex(F, theta0, steps, tol)
+    result = convexnd.minimize_convex(F, grad, theta0, steps, tol)
     betas = result.x[1:].copy()
     # pin mu at the leftmost minimizer of the residual problem so the
     # identity mu* = -R(Y - X beta*) holds even on flat optima
@@ -102,7 +99,7 @@ def fit(rho: CoherentRiskMeasure, s: ScoreFunction, Y: ScenarioVariable,
     theta_star = np.concatenate([[mu_star], betas])
     objective = min(result.value, F(theta_star))
 
-    base = solver.solve(rho, s, Y, tol).d_value
+    base = unconditional.d_value
     if objective <= max(1e-12, 1e-9 * abs(base)):
         cd = 1.0
     elif base <= 0.0:
@@ -120,7 +117,26 @@ def fit(rho: CoherentRiskMeasure, s: ScoreFunction, Y: ScenarioVariable,
     )
 
 
-def _linear_program_phase(s: ScoreFunction, y: np.ndarray, A: np.ndarray,
+def _affine_objective(rho: CoherentRiskMeasure, s: ScoreFunction, c: np.ndarray,
+                      B: np.ndarray, p: np.ndarray):
+    """F(theta) = rho(-f(r)) with affine residual r = c - B theta, and its
+    subgradient B^T (grad_rho(-f(r)) * f'(r)).
+
+    rho is monotone and f convex, so any selection of f' gives a
+    subgradient of F; the right derivative serves at kinks.
+    """
+
+    def F(theta: np.ndarray) -> float:
+        return float(evaluate_batch(rho, -s.f(c - B @ theta)[None, :], p)[0])
+
+    def grad(theta: np.ndarray) -> np.ndarray:
+        r = c - B @ theta
+        return B.T @ (payoff_gradient(rho, -s.f(r), p) * s.fprime_right(r))
+
+    return F, grad
+
+
+def _linear_program_phase(s: ScoreFunction, y: np.ndarray, B: np.ndarray,
                           p: np.ndarray) -> np.ndarray:
     """Exact solve of the piecewise-linear expected-loss fit.
 
@@ -129,18 +145,19 @@ def _linear_program_phase(s: ScoreFunction, y: np.ndarray, A: np.ndarray,
     HiGHS. Coordinate descent alone can stall on the kink ridges of this
     objective, hence the exact phase before the certificate polish.
     """
+    from scipy import sparse
     from scipy.optimize import linprog
 
-    m, n = A.shape
+    m, k = B.shape
     wpos, wneg = (1.0, 1.0) if s.kind == "absolute" else (s.param, 1.0 - s.param)
-    # variables: mu, beta (free), u, v (>= 0)
-    c = np.concatenate([np.zeros(1 + n), wpos * p, wneg * p])
-    A_eq = np.hstack([np.ones((m, 1)), A, np.eye(m), -np.eye(m)])
-    bounds = [(None, None)] * (1 + n) + [(0.0, None)] * (2 * m)
+    # variables: theta = (mu, beta) (free), u, v (>= 0)
+    c = np.concatenate([np.zeros(k), wpos * p, wneg * p])
+    A_eq = sparse.hstack([B, sparse.eye(m), -sparse.eye(m)], format="csr")
+    bounds = [(None, None)] * k + [(0.0, None)] * (2 * m)
     res = linprog(c, A_eq=A_eq, b_eq=y, bounds=bounds, method="highs")
     if not res.success:
         raise DomainError(f"piecewise-linear fit LP failed: {res.message}")
-    return res.x[: 1 + n].copy()
+    return res.x[:k].copy()
 
 
 def conditional_risk_row(fit_result: RegressionFit, x_row) -> float:

@@ -1,10 +1,16 @@
-"""One-dimensional convex minimization by difference-quotient bisection.
+"""One-dimensional convex minimization by subgradient-sign bisection.
 
-Locates the leftmost minimizer of a convex function as the sign change of
-the forward difference quotient, and the rightmost symmetrically with
-backward differences. Unlike golden-section search, this pins down the
+A convex function's minimizer set is where its slope changes sign. Any
+selection of its subdifferential is nondecreasing, so the leftmost
+minimizer is the first point where the selection is >= 0 and the
+rightmost the last point where it is <= 0, and both are found by
+bisecting that sign. Unlike golden-section search, this pins down the
 *endpoints* of a flat valley, which piecewise-linear objectives produce
-routinely.
+routinely, and an exact slope keeps its sign near a smooth minimum where
+difference quotients of values would cancel to noise.
+
+`min_value` locates the minimum value from function values alone, for
+callers that have no slope.
 """
 
 from __future__ import annotations
@@ -16,80 +22,49 @@ from .errors import DomainError
 _MAX_BISECT = 200
 
 
-def _sign_slack(gval: float, h: float) -> float:
-    # evaluation roundoff (a few ulp of g) divided by the step bounds the
-    # quotient noise; without the h term an exactly flat valley flips the
-    # quotient sign by +-ulp/h and bisection lands at arbitrary interior
-    # points
-    return (1e-12 + 32.0 * 2.220446049250313e-16 / h) * (1.0 + abs(gval))
-
-
-def leftmost_minimizer(
-    g: Callable[[float], float], a: float, b: float, tol: float, h: float
-) -> float:
-    """inf{y in [a,b] : forward difference quotient of g at y >= 0}."""
+def _sign_change(gprime: Callable[[float], float], a: float, b: float, tol: float,
+                 descending: Callable[[float], bool]) -> float:
+    """Midpoint of the final bracket where ``descending(gprime(y))`` flips
+    from true to false; a or b when the flip lies outside [a, b]."""
     if tol <= 0.0:
         raise DomainError(f"tol must be > 0, got {tol!r}")
-
-    def nondecreasing_at(y: float) -> bool:
-        gy = g(y)
-        return (g(y + h) - gy) / h >= -_sign_slack(gy, h)
-
-    if nondecreasing_at(a):
+    if gprime(a) >= 0.0:
         return a
-    if not nondecreasing_at(b):
-        # still descending at b: the constrained minimizer is the endpoint
+    if gprime(b) <= 0.0:
         return b
     lo, hi = a, b
     for _ in range(_MAX_BISECT):
         if hi - lo <= tol:
             break
         mid = 0.5 * (lo + hi)
-        if nondecreasing_at(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def rightmost_minimizer(
-    g: Callable[[float], float], a: float, b: float, tol: float, h: float
-) -> float:
-    """sup{y in [a,b] : backward difference quotient of g at y <= 0}."""
-    if tol <= 0.0:
-        raise DomainError(f"tol must be > 0, got {tol!r}")
-
-    def nonincreasing_at(y: float) -> bool:
-        gy = g(y)
-        return (gy - g(y - h)) / h <= _sign_slack(gy, h)
-
-    if nonincreasing_at(b):
-        return b
-    if not nonincreasing_at(a):
-        # already ascending at a: the constrained minimizer is the endpoint
-        return a
-    lo, hi = a, b
-    for _ in range(_MAX_BISECT):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if nonincreasing_at(mid):
+        if descending(gprime(mid)):
             lo = mid
         else:
             hi = mid
-    return lo
+    return 0.5 * (lo + hi)
 
 
-def minimizer_interval(
-    g: Callable[[float], float], a: float, b: float, tol: float, h: float
-) -> tuple[float, float]:
-    lo = leftmost_minimizer(g, a, b, tol, h)
-    hi = rightmost_minimizer(g, a, b, tol, h)
+def leftmost_minimizer(gprime: Callable[[float], float], a: float, b: float,
+                       tol: float) -> float:
+    """First y in [a, b] with gprime(y) >= 0, for a nondecreasing slope
+    selection gprime of a convex function; within tol."""
+    return _sign_change(gprime, a, b, tol, lambda slope: slope < 0.0)
+
+
+def rightmost_minimizer(gprime: Callable[[float], float], a: float, b: float,
+                        tol: float) -> float:
+    """Last y in [a, b] with gprime(y) <= 0; within tol."""
+    return _sign_change(gprime, a, b, tol, lambda slope: slope <= 0.0)
+
+
+def minimizer_interval(gprime: Callable[[float], float], a: float, b: float,
+                       tol: float) -> tuple[float, float]:
+    """Both endpoints of the minimizer set in [a, b]. Near a strict
+    minimum the two bisections may cross by up to tol; a crossing
+    collapses to its midpoint."""
+    lo = leftmost_minimizer(gprime, a, b, tol)
+    hi = rightmost_minimizer(gprime, a, b, tol)
     if lo > hi:
-        # near a smooth minimum the quotients are dominated by floating
-        # point cancellation (~eps*|g|/h) and the endpoints can cross by
-        # far more than tol without any convexity violation; collapse to
-        # the midpoint, which stays within the noise of the minimizer set
         lo = hi = 0.5 * (lo + hi)
     return lo, hi
 

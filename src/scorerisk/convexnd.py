@@ -1,14 +1,15 @@
-"""Derivative-free minimization of convex functions on R^d.
+"""Minimization of convex functions on R^d with exact line searches.
 
 Cyclic exact coordinate minimization with a Powell-style acceleration
 line search along each sweep's net displacement. Each line problem is
-convex and solved by the difference-quotient bisection from `convex1d`,
-so flat valleys (piecewise-linear objectives) are handled without
-gradient information.
+convex and solved from a subgradient `grad` of the objective: the
+directional slope t -> grad(x + t u) . u is nondecreasing, and
+`convex1d.minimizer_interval` bisects its sign, so flat valleys
+(piecewise-linear objectives) are handled without values of F.
 
 Optimality is certified coordinate-wise: at the returned point the
-one-sided difference quotients along every coordinate must bracket zero;
-the residual reports the largest violation.
+one-sided difference quotients of F along every coordinate must bracket
+zero; the residual reports the largest violation.
 """
 
 from __future__ import annotations
@@ -29,35 +30,25 @@ class MinimizeResult:
     sweeps: int
 
 
-def _line_bracket(f1: Callable[[float], float], step: float) -> tuple[float, float]:
-    """Expand from 0 until a minimizer of convex f1 lies inside [lo, hi]."""
-    f0 = f1(0.0)
-    if f1(step) < f0:
-        t_prev, t = 0.0, step
-        ft = f1(t)
-        while True:
-            t_next = 2.0 * t
-            fn = f1(t_next)
-            if fn >= ft or t_next > 1e12:
-                return t_prev, t_next
-            t_prev, t, ft = t, t_next, fn
-    if f1(-step) < f0:
-        t_prev, t = 0.0, -step
-        ft = f1(t)
-        while True:
-            t_next = 2.0 * t
-            fn = f1(t_next)
-            if fn >= ft or t_next < -1e12:
-                return t_next, t_prev
-            t_prev, t, ft = t, t_next, fn
-    return -step, step
+def _line_bracket(slope: Callable[[float], float], step: float) -> tuple[float, float]:
+    """Expand from 0 until the sign change of the nondecreasing slope
+    lies inside [lo, hi]."""
+    s0 = slope(0.0)
+    if s0 == 0.0:
+        return -step, step
+    # walk downhill: forward when descending at 0, backward otherwise
+    direction = 1.0 if s0 < 0.0 else -1.0
+    t_prev, t = 0.0, direction * step
+    while direction * slope(t) < 0.0 and abs(t) <= 1e12:
+        t_prev, t = t, 2.0 * t
+    return min(t_prev, t), max(t_prev, t)
 
 
-def line_minimize(f1: Callable[[float], float], step: float, tol: float) -> float:
-    """Midpoint of the minimizer interval of convex f1 over the real line."""
-    lo, hi = _line_bracket(f1, step)
-    h = max(tol, 1e-9 * (hi - lo))
-    a, b = convex1d.minimizer_interval(f1, lo, hi, tol, h)
+def line_minimize(slope: Callable[[float], float], step: float, tol: float) -> float:
+    """Midpoint of the minimizer interval over the real line of a convex
+    function with nondecreasing slope selection `slope`."""
+    lo, hi = _line_bracket(slope, step)
+    a, b = convex1d.minimizer_interval(slope, lo, hi, tol)
     return 0.5 * (a + b)
 
 
@@ -78,14 +69,23 @@ def coordinate_certificate(
 
 def minimize_convex(
     F: Callable[[np.ndarray], float],
+    grad: Callable[[np.ndarray], np.ndarray],
     x0: Sequence[float],
     steps: Sequence[float],
     tol: float = 1e-8,
     max_sweeps: int = 400,
 ) -> MinimizeResult:
+    """Minimize convex F, given a subgradient selection `grad` of F.
+
+    Stops when a sweep moves x by at most tol in every coordinate, which
+    is the resolution of the line searches.
+    """
     x = np.asarray(x0, dtype=float).copy()
     steps = np.asarray(steps, dtype=float)
     d = x.size
+
+    def line(u: np.ndarray, step: float) -> float:
+        return line_minimize(lambda t: float(np.dot(grad(x + t * u), u)), step, tol)
 
     sweeps = 0
     for sweeps in range(1, max_sweeps + 1):
@@ -93,16 +93,14 @@ def minimize_convex(
         for i in range(d):
             e = np.zeros(d)
             e[i] = 1.0
-            t = line_minimize(lambda t: F(x + t * e), float(steps[i]), tol)
-            x = x + t * e
+            x = x + line(e, float(steps[i])) * e
         delta = x - x_start
         dn = float(np.max(np.abs(delta)))
         if dn > 0.0:
             u = delta / dn
-            t = line_minimize(lambda t: F(x + t * u), max(dn, tol), tol)
-            x = x + t * u
+            x = x + line(u, max(dn, tol)) * u
         moved = float(np.max(np.abs(x - x_start)))
-        if moved <= 0.5 * tol:
+        if moved <= tol:
             break
 
     h = max(tol, 1e-9 * float(np.max(steps)))

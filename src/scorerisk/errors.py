@@ -32,7 +32,7 @@ class UnsupportedScoreError(ScoreriskError, ValueError):
 class ContractError(ScoreriskError, RuntimeError):
     """An internal convexity/monotonicity contract was violated.
 
-    Raised when difference quotients behave non-monotonically beyond slack,
-    which signals a broken score or risk-measure implementation rather than
-    bad user input.
+    Raised when the subgradient bisections cross beyond slack or the
+    first-order condition fails at the reported minimizer, which signals a
+    broken score or risk-measure implementation rather than bad user input.
     """

@@ -49,6 +49,17 @@ class _Objective:
         payoff = -self.s.f(self.x - y)
         return float(evaluate_batch(self.rho, payoff[None, :], self.p)[0])
 
+    def slope(self, fprime):
+        """y -> grad_rho(payoff) . fprime(X - y), a subgradient selection
+        of the objective; each call counts as an evaluation."""
+
+        def gprime(y: float) -> float:
+            self.calls += 1
+            payoff = -self.s.f(self.x - y)
+            return float(np.dot(payoff_gradient(self.rho, payoff, self.p), fprime(self.x - y)))
+
+        return gprime
+
     def grid(self, ys: np.ndarray, chunk: int = 4096) -> np.ndarray:
         out = np.empty(ys.size)
         for start in range(0, ys.size, chunk):
@@ -115,13 +126,15 @@ def solve(rho: CoherentRiskMeasure, s: ScoreFunction, X: ScenarioVariable,
     g = _Objective(rho, s, X)
 
     # bracket the minimizer set by bisecting the sign of the exact
-    # subgradient (difference quotients cancel to noise near a smooth
-    # minimum); a strictly convex objective has a single minimizer
-    left = _derivative_bisection(rho, s, X, a, b, tol, g, "left")
+    # subgradient g'(y) = grad_rho(payoff) . f'(X - y); a strictly convex
+    # objective has a single minimizer. Increasing y decreases X - y, so
+    # the right derivative of the objective pairs with the left derivative
+    # of the score and vice versa; the choice matters only at kinks.
+    left = convex1d.leftmost_minimizer(g.slope(s.fprime_left), a, b, tol)
     if s.smooth_strictly_convex:
         right = left
     else:
-        right = _derivative_bisection(rho, s, X, a, b, tol, g, "right")
+        right = convex1d.rightmost_minimizer(g.slope(s.fprime_right), a, b, tol)
         if left > right:
             if not s.differentiable and left - right > 10.0 * max(tol, h):
                 raise ContractError(
@@ -156,46 +169,6 @@ def solve(rho: CoherentRiskMeasure, s: ScoreFunction, X: ScenarioVariable,
         tol_achieved=tol,
         evaluations=g.calls,
     )
-
-
-def _derivative_bisection(rho, s, X, a: float, b: float, tol: float,
-                          g: "_Objective", side: str) -> float:
-    """Sign-change bisection of g'(y) = grad_rho(payoff) . f'(X - y).
-
-    g' is a monotone subgradient selection of the convex objective, so
-    ``side="left"`` locates the first y with g' >= 0 (leftmost minimizer)
-    and ``side="right"`` the last y with g' <= 0 (rightmost minimizer);
-    on a strictly convex objective the two coincide. Increasing y
-    decreases x - y, so the right derivative of the objective pairs with
-    the left derivative of the score and vice versa; the choice matters
-    only at kinks.
-    """
-    x = X.values
-    p = X.space.p
-    fprime = s.fprime_left if side == "left" else s.fprime_right
-
-    def gprime(y: float) -> float:
-        g.calls += 1
-        payoff = -s.f(x - y)
-        grad = payoff_gradient(rho, payoff, p)
-        return float(np.dot(grad, fprime(x - y)))
-
-    if gprime(a) >= 0.0:
-        return a
-    if gprime(b) <= 0.0:
-        return b
-    lo, hi = a, b
-    for _ in range(200):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        gm = gprime(mid)
-        descend = gm < 0.0 if side == "left" else gm <= 0.0
-        if descend:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def _verify_first_order(rho, s, X, y: float, tol: float, rng: float) -> None:

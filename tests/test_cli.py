@@ -3,6 +3,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from scorerisk.cli import run
@@ -151,3 +152,22 @@ class TestGoldenFiles:
         assert out1 == out2
         expected = (DATA / golden).read_text()
         assert out1 == expected
+
+    def test_fit_goldens_match_closed_forms(self, capsys):
+        """el/squared regress and portfolio reports sit on weighted least
+        squares and on the minimum-variance weights."""
+        _, out, _ = run_cli(GOLDEN[1][0], capsys)
+        report = json.loads(out)
+        data = np.genfromtxt(DATA / "regression.csv", delimiter=",", names=True)
+        root_p = np.sqrt(data["prob"])
+        B = np.column_stack([np.ones(root_p.size), data["x1"], data["x2"]])
+        theta = np.linalg.lstsq(root_p[:, None] * B, root_p * data["y"], rcond=None)[0]
+        fitted = np.array([report["mu"], *report["betas"]])
+        assert np.max(np.abs(fitted - theta)) <= 1e-10
+
+        _, out, _ = run_cli(GOLDEN[2][0], capsys)
+        report = json.loads(out)
+        V = np.genfromtxt(DATA / "assets.csv", delimiter=",", skip_header=1)
+        raw = np.linalg.solve(np.cov(V, rowvar=False, bias=True), np.ones(V.shape[1]))
+        for route in ("direct_weights", "regression_weights"):
+            assert np.max(np.abs(np.array(report[route]) - raw / raw.sum())) <= 1e-9

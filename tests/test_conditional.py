@@ -1,5 +1,7 @@
 """Robust regression: oracles, equivariance, and the CD metric."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,8 @@ from scorerisk import (
     fit,
     solve,
 )
+
+from scorerisk.conditional import _linear_program_phase
 
 from conftest import uvar, wvar
 
@@ -56,6 +60,20 @@ class TestStrictMode:
         assert result.betas[0] == pytest.approx(3.0, abs=1e-8)
         assert result.objective <= 1e-12
         assert result.cd == 1.0
+
+    def test_converged_fit_stops_before_sweep_cap(self):
+        # heteroscedastic noise; the line searches return bracket midpoints,
+        # so a stop test finer than tol would run to the sweep cap here
+        rng = np.random.default_rng([11, 3, 0])
+        rng.standard_normal((1000, 3))
+        rng.standard_t(5, 1000)
+        mix = np.array([[1.0, 0.4, 0.0], [0.0, 1.0, 0.3], [0.0, 0.0, 1.0]])
+        A = rng.standard_normal((1000, 3)) @ mix
+        noise = (1.0 + 0.5 * np.abs(A[:, 0])) * rng.standard_normal(1000)
+        Y = uvar(0.5 + A @ np.array([0.5, -1.0, 2.0]) + noise)
+        X = [Y.with_values(a) for a in A.T]
+        result = fit(EL, ScoreFunction.expectile(0.7), Y, X, tol=1e-8)
+        assert result.iterations < 50
 
     def test_mu_equals_negated_residual_risk(self, rng):
         for rho in (EL, CoherentRiskMeasure.es(0.4), CoherentRiskMeasure.ml()):
@@ -125,6 +143,20 @@ class TestRelaxedMode:
                     best = min(best, float(np.mean(s.f(y - mu - b * x))))
             result = fit(EL, s, Y, X, tol=1e-10)
             assert result.objective == pytest.approx(best, abs=1e-6)
+
+    def test_linear_program_memory_is_linear(self, rng):
+        m = 3000
+        B = np.column_stack([np.ones(m), rng.normal(0, 1, (m, 3))])
+        y = B @ np.array([0.5, 1.0, -2.0, 0.5]) + rng.standard_t(5, m)
+        p = np.full(m, 1.0 / m)
+        tracemalloc.start()
+        try:
+            _linear_program_phase(ScoreFunction.pinball(0.3), y, B, p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a dense [1, A, I, -I] constraint matrix alone would take 137 MiB
+        assert peak < 50 * 2**20
 
     def test_median_regression_interpolates(self, rng):
         # absolute-loss fit of an exactly affine target is exact

@@ -1,0 +1,72 @@
+"""The shared convex kernels: subgradient-sign bisection and coordinate descent."""
+
+import numpy as np
+import pytest
+from scipy.optimize import brentq
+
+from scorerisk import DomainError
+from scorerisk.convex1d import leftmost_minimizer, minimizer_interval, rightmost_minimizer
+from scorerisk.convexnd import minimize_convex
+
+TOL = 1e-9
+
+
+def flat_valley_slope(y: float) -> float:
+    """Slope of (max(y - 2, 0)^2 + max(1 - y, 0)^2) / 2, which is flat
+    exactly on [1, 2]."""
+    return max(y - 2.0, 0.0) - max(1.0 - y, 0.0)
+
+
+class TestMinimizerInterval:
+    def test_flat_valley_gives_both_endpoints(self):
+        lo, hi = minimizer_interval(flat_valley_slope, -5.0, 7.0, TOL)
+        assert lo == pytest.approx(1.0, abs=TOL)
+        assert hi == pytest.approx(2.0, abs=TOL)
+
+    def test_strictly_convex_gives_one_point(self):
+        # slope of (y - 0.3)^2 + exp(y)
+        def slope(y):
+            return 2.0 * (y - 0.3) + np.exp(y)
+
+        lo, hi = minimizer_interval(slope, -4.0, 4.0, TOL)
+        root = brentq(slope, -4.0, 4.0, xtol=1e-15)
+        assert lo == hi
+        assert lo == pytest.approx(root, abs=TOL)
+
+    def test_minimizer_outside_bracket_returns_nearest_end(self):
+        assert leftmost_minimizer(flat_valley_slope, 3.0, 5.0, TOL) == 3.0
+        assert rightmost_minimizer(flat_valley_slope, -3.0, 0.0, TOL) == 0.0
+
+    def test_rejects_nonpositive_tol(self):
+        with pytest.raises(DomainError):
+            minimizer_interval(flat_valley_slope, 0.0, 3.0, 0.0)
+
+
+class TestMinimizeConvex:
+    def test_separable_quadratic(self):
+        center = np.array([1.5, -0.25, 40.0])
+        scale = np.array([1.0, 10.0, 0.01])
+
+        def F(x):
+            return float(np.sum(scale * (x - center) ** 2))
+
+        def grad(x):
+            return 2.0 * scale * (x - center)
+
+        result = minimize_convex(F, grad, np.zeros(3), np.ones(3), tol=TOL)
+        np.testing.assert_allclose(result.x, center, rtol=0.0, atol=TOL)
+        assert result.sweeps < 10
+        assert result.foc_residual <= 1e-6
+
+    def test_flat_coordinate_stays_in_its_valley(self):
+        # |x0| + flat valley in x1: any x1 in [1, 2] is optimal
+        def F(x):
+            return abs(x[0]) + 0.5 * (max(x[1] - 2.0, 0.0) ** 2 + max(1.0 - x[1], 0.0) ** 2)
+
+        def grad(x):
+            return np.array([1.0 if x[0] >= 0.0 else -1.0, flat_valley_slope(x[1])])
+
+        result = minimize_convex(F, grad, np.array([3.0, -4.0]), np.ones(2), tol=TOL)
+        assert abs(result.x[0]) <= TOL
+        assert 1.0 - TOL <= result.x[1] <= 2.0 + TOL
+        assert result.value == pytest.approx(0.0, abs=2 * TOL)
