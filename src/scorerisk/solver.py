@@ -3,8 +3,8 @@
 Given a coherent risk measure rho and a score f, minimizes
 g(y) = rho(-f(X - y)) over y. The minimum is the deviation value, the
 leftmost minimizer (negated) is the risk value, and the full minimizer
-interval is reported. A grid-scan oracle provides an independent check of
-the same quantities.
+interval is reported; flat-valley endpoints snap onto the kinks near
+them, found in O(n) memory. A grid-scan oracle checks the same quantities.
 """
 
 from __future__ import annotations
@@ -56,7 +56,12 @@ class _Objective:
         def gprime(y: float) -> float:
             self.calls += 1
             payoff = -self.s.f(self.x - y)
-            return float(np.dot(payoff_gradient(self.rho, payoff, self.p), fprime(self.x - y)))
+            grad, fp = payoff_gradient(self.rho, payoff, self.p), fprime(self.x - y)
+            slope = float(np.dot(grad, fp))
+            # on a flat piece the sum rounds to a few ulp of either sign;
+            # within that rounding bound it is zero
+            noise = self.x.size * np.finfo(float).eps * float(np.dot(np.abs(grad), np.abs(fp)))
+            return slope if abs(slope) > noise else 0.0
 
         return gprime
 
@@ -74,40 +79,45 @@ def _flat_tol(g_min: float) -> float:
     return max(1e-12, 1e-9 * abs(g_min))
 
 
-def _kink_candidates(s: ScoreFunction, x: np.ndarray) -> np.ndarray:
-    """Locations where the objective's slope can jump or flatten out.
-
-    Outcome values always qualify (score kinks at zero). Reordering risk
-    measures add kinks where two transformed payoffs tie: for the pinball
-    family that is the alpha-weighted combination of a pair of outcomes,
-    and for huber the data shifted by the truncation width.
-    """
-    vals = np.unique(x)
-    extra: list[np.ndarray] = []
-    if s.kind in ("pinball", "cost", "absolute"):
-        a = 0.5 if s.kind == "absolute" else s.param
-        pair = a * vals[:, None] + (1.0 - a) * vals[None, :]
-        extra.append(pair.ravel())
-    elif s.kind == "huber":
-        extra.extend((vals - s.param, vals + s.param))
-    if extra:
-        vals = np.unique(np.concatenate([vals, *extra]))
-    return vals
-
-
-def _snap_endpoint(g, endpoint: float, g_min: float, candidates: np.ndarray,
+def _snap_endpoint(g: _Objective, vals: np.ndarray, endpoint: float, g_min: float,
                    window: float, leftmost: bool) -> float:
-    """Move a valley endpoint onto a nearby outcome value when it belongs
-    to the minimizer set; kinks of piecewise-linear objectives sit on data
-    values and bisection alone stops within tol of them."""
-    near = candidates[np.abs(candidates - endpoint) <= window]
-    best = endpoint
+    """Move a valley endpoint onto the outermost kink within `window` that
+    belongs to the minimizer set; bisection alone stops within tol of it.
+
+    Only kinks near the endpoint are built, from the sorted unique
+    outcomes `vals`: the outcomes themselves (score kinks at zero), for
+    huber the outcomes shifted by the truncation width, and for the
+    pinball family under the reordering measures es and ml the
+    alpha-weighted combinations of two outcomes, where two payoffs tie.
+    """
+    s = g.s
+    shift = s.param if s.kind == "huber" else 0.0
+    # padded so that rounding never drops a kink; the exact filter follows
+    pad = window + 1e-12 * (abs(vals[0]) + abs(vals[-1]) + shift)
+    lo, hi = endpoint - pad, endpoint + pad
+
+    def within(a: float, b: float) -> np.ndarray:
+        return vals[np.searchsorted(vals, a) : np.searchsorted(vals, b, side="right")]
+
+    found = [within(lo, hi)]
+    if s.kind == "huber":
+        found += [within(lo + shift, hi + shift) - shift, within(lo - shift, hi - shift) + shift]
+    elif s.kind in ("pinball", "cost", "absolute") and g.rho.kind in ("es", "ml"):
+        a = 0.5 if s.kind == "absolute" else s.param
+        # for each v_i, the partners v_j with a*v_i + (1-a)*v_j in [lo, hi]
+        # form one contiguous range of the sorted outcomes
+        first = np.searchsorted(vals, (lo - a * vals) / (1.0 - a))
+        last = np.searchsorted(vals, (hi - a * vals) / (1.0 - a), side="right")
+        count = np.maximum(last - first, 0)
+        j = np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum())
+        found.append(a * np.repeat(vals, count) + (1.0 - a) * vals[j])
+    near = np.unique(np.concatenate(found))
+    near = near[np.abs(near - endpoint) <= window]
     tol = _flat_tol(g_min)
-    for v in sorted(near, reverse=not leftmost):
+    for v in near if leftmost else near[::-1]:
         if g(float(v)) <= g_min + tol:
-            best = float(v)
-            break
-    return best
+            return float(v)
+    return endpoint
 
 
 def solve(rho: CoherentRiskMeasure, s: ScoreFunction, X: ScenarioVariable,
@@ -122,7 +132,7 @@ def solve(rho: CoherentRiskMeasure, s: ScoreFunction, X: ScenarioVariable,
     rng = hi0 - lo0
     a = lo0 - _BRACKET_PAD * rng
     b = hi0 + _BRACKET_PAD * rng
-    h = max(tol, 1e-9 * rng)
+    window = 10.0 * max(tol, 1e-9 * rng)
     g = _Objective(rho, s, X)
 
     # bracket the minimizer set by bisecting the sign of the exact
@@ -130,13 +140,11 @@ def solve(rho: CoherentRiskMeasure, s: ScoreFunction, X: ScenarioVariable,
     # objective has a single minimizer. Increasing y decreases X - y, so
     # the right derivative of the objective pairs with the left derivative
     # of the score and vice versa; the choice matters only at kinks.
-    left = convex1d.leftmost_minimizer(g.slope(s.fprime_left), a, b, tol)
-    if s.smooth_strictly_convex:
-        right = left
-    else:
+    left = right = convex1d.leftmost_minimizer(g.slope(s.fprime_left), a, b, tol)
+    if not s.smooth_strictly_convex:
         right = convex1d.rightmost_minimizer(g.slope(s.fprime_right), a, b, tol)
         if left > right:
-            if not s.differentiable and left - right > 10.0 * max(tol, h):
+            if not s.differentiable and left - right > window:
                 raise ContractError(
                     "minimizer endpoints crossed beyond slack; "
                     "score/risk implementation violates convexity"
@@ -147,10 +155,9 @@ def solve(rho: CoherentRiskMeasure, s: ScoreFunction, X: ScenarioVariable,
     if not s.smooth_strictly_convex:
         # flat-valley endpoints of piecewise objectives sit on kink
         # candidates; snapping makes them exact
-        candidates = _kink_candidates(s, X.values)
-        window = 10.0 * max(tol, h)
-        left = _snap_endpoint(g, left, g_min, candidates, window, leftmost=True)
-        right = _snap_endpoint(g, right, g_min, candidates, window, leftmost=False)
+        vals = np.unique(X.values)
+        left = _snap_endpoint(g, vals, left, g_min, window, leftmost=True)
+        right = _snap_endpoint(g, vals, right, g_min, window, leftmost=False)
     # endpoints stay inside [essinf, esssup]
     left = min(max(left, lo0), hi0)
     right = min(max(right, lo0), hi0)

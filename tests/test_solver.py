@@ -1,6 +1,7 @@
 """Robust solve: worked cases, oracle agreement, and measure properties."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -111,6 +112,25 @@ class TestSolveResultInvariants:
             res = solve(EL, s, X, tol=1e-9)
             assert res.argmin_hi - res.argmin_lo <= 1e-8
 
+    @pytest.mark.parametrize(
+        "rho", [EL, CoherentRiskMeasure.es(0.1), CoherentRiskMeasure.ml()], ids=["el", "es", "ml"]
+    )
+    @pytest.mark.parametrize(
+        "s", [ScoreFunction.absolute(), ScoreFunction.pinball(0.1), ScoreFunction.cost(0.3)],
+        ids=["absolute", "pinball", "cost"],
+    )
+    def test_kink_snapping_memory_is_linear(self, rho, s):
+        n = 3001
+        X = uvar(0.8 * np.random.default_rng(1).standard_t(4, n))
+        tracemalloc.start()
+        try:
+            solve(rho, s, X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # every pairwise combination of the outcomes would take 69 MiB
+        assert peak < 20 * 2**20
+
 
 class TestOracleAgreement:
     def test_random_triples(self, rng):
@@ -149,6 +169,27 @@ class TestClosedForms:
         res = solve(EL, ScoreFunction.pinball(alpha), X, tol=1e-10)
         quantile = left_quantile(X, MeasureWeights.from_space(X.space), alpha)
         assert res.argmin_lo == quantile
+
+    @pytest.mark.parametrize("n", [10, 20, 1000])
+    @pytest.mark.parametrize(
+        "s, alpha",
+        [
+            (ScoreFunction.pinball(0.1), 0.1),
+            (ScoreFunction.pinball(0.3), 0.3),
+            (ScoreFunction.pinball(0.7), 0.7),
+            (ScoreFunction.cost(0.3), 0.3),
+            (ScoreFunction.absolute(), 0.5),
+        ],
+        ids=["pinball:0.1", "pinball:0.3", "pinball:0.7", "cost:0.3", "absolute"],
+    )
+    def test_tied_quantile_interval_is_exact(self, s, alpha, n):
+        # alpha * n is a whole number k, so the cumulative mass equals alpha
+        # exactly between the k-th and (k+1)-th outcomes, a flat valley
+        x = np.random.default_rng(0).normal(0, 1, n)
+        z = np.sort(x)
+        k = round(alpha * n)
+        res = solve(EL, s, uvar(x))
+        assert (res.argmin_lo, res.argmin_hi) == (z[k - 1], z[k])
 
     def test_linex_el_entropic(self, rng):
         gamma = 1.3
