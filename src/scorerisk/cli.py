@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import applications, conditional, solver
-from .errors import ContractError, ScoreriskError
+from .errors import ContractError, DomainError, ScoreriskError
 from .risk import CoherentRiskMeasure
 from .scores import ScoreFunction
 from .spaces import ScenarioVariable, load_csv
@@ -65,6 +65,13 @@ def render_plain(obj, prefix: str = "") -> str:
         else:
             lines.append(f"{key} {fmt_num(v)}")
     return "\n".join(lines)
+
+
+def _check_finite(report: dict) -> None:
+    """JSON has no spelling for inf or nan; name the field instead."""
+    for key, value in report.items():
+        if np.asarray(value).dtype.kind == "f" and not np.isfinite(value).all():
+            raise DomainError(f"{key} is not finite: {value!r}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -132,6 +139,7 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         report = _dispatch(args)
+        _check_finite(report)
     except ContractError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONTRACT

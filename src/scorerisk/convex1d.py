@@ -1,67 +1,122 @@
-"""One-dimensional convex minimization by subgradient-sign bisection.
+"""One-dimensional convex minimization by an exact search on the slope sign.
 
 A convex function's minimizer set is where its slope changes sign. Any
 selection of its subdifferential is nondecreasing, so the leftmost
 minimizer is the first point where the selection is >= 0 and the
-rightmost the last point where it is <= 0, and both are found by
-bisecting that sign. Unlike golden-section search, this pins down the
-*endpoints* of a flat valley, which piecewise-linear objectives produce
-routinely, and an exact slope keeps its sign near a smooth minimum where
-difference quotients of values would cancel to noise.
+rightmost the last point where it is <= 0. `sign_change` keeps a bracket
+with the selection descending at its left end only, and stops:
 
-`min_value` locates the minimum value from function values alone, for
-callers that have no slope.
+- at listed kinks, by a binary search over the slopes at the gap
+  midpoints; where the function is linear between kinks, the kink where
+  descending stops is the exact answer (width 0);
+- otherwise by the Illinois regula falsi (Dowell & Jarratt, BIT 11,
+  1971), bisecting after each step that fails to halve the bracket: at
+  a zero of a strictly increasing slope, at two adjacent floats, or a
+  few steps after the width drops under `tol`, which happens only where
+  the slope jumps at a point no list holds.
+
+So `tol` caps the work, and the final width is the precision reached.
+`min_value` finds the minimum value from values alone, without a slope.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
+import numpy as np
+
 from .errors import DomainError
 
-_MAX_BISECT = 200
+_MAX_STEPS = 200
+_PAST_TOL = 3  # steps taken after the bracket is under tol
 
 
-def _sign_change(gprime: Callable[[float], float], a: float, b: float, tol: float,
-                 descending: Callable[[float], bool]) -> float:
-    """Midpoint of the final bracket where ``descending(gprime(y))`` flips
-    from true to false; a or b when the flip lies outside [a, b]."""
+def sign_change(gprime: Callable[[float], float], lo: float, hi: float, tol: float, *,
+                rightmost: bool = False, strict: bool = False,
+                kinks: Callable[[float, float], np.ndarray | None] | None = None,
+                linear: bool = False) -> tuple[float, float]:
+    """Final bracket of the point where the slope selection `gprime`
+    stops being < 0 (<= 0 with `rightmost`): (y, y) when y is exact, one
+    end twice when the point lies outside [lo, hi]. `strict`: gprime is
+    strictly increasing. `kinks(lo, hi)`: the sorted points inside where
+    gprime may jump, or None while too many to list; with `linear`,
+    gprime is constant between them.
+    """
     if tol <= 0.0:
         raise DomainError(f"tol must be > 0, got {tol!r}")
-    if gprime(a) >= 0.0:
-        return a
-    if gprime(b) <= 0.0:
-        return b
-    lo, hi = a, b
-    for _ in range(_MAX_BISECT):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if descending(gprime(mid)):
-            lo = mid
+
+    def descending(slope: float) -> bool:
+        return slope <= 0.0 if rightmost else slope < 0.0
+
+    def narrow(y: float) -> float:
+        nonlocal lo, flo, hi, fhi
+        if descending(f := gprime(y)):
+            lo, flo = y, f
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            hi, fhi = y, f
+        return f
+
+    flo, fhi = gprime(lo), gprime(hi)
+    if not descending(flo):
+        return lo, lo
+    if descending(fhi):
+        return hi, hi
+    while kinks is not None and (listed := kinks(lo, hi)) is None and lo < 0.5 * (lo + hi) < hi:
+        narrow(0.5 * (lo + hi))
+    if kinks is not None and listed is not None:
+        # gap i runs from points[i] to points[i + 1]; the sentinel gaps -1
+        # and points.size - 1 stand for the known slopes at lo and hi
+        points = np.concatenate(([lo], listed, [hi]))
+        below, above = -1, points.size - 1
+        while above - below > 1:
+            i = (below + above) // 2
+            y = 0.5 * (float(points[i]) + float(points[i + 1]))
+            below, above = (i, above) if descending(narrow(y)) else (below, i)
+        k = float(points[above])
+        if linear:
+            return k, k
+        if lo < k < hi:
+            narrow(k)  # the slope is continuous on either side of k from here
+    moved, bisect, past_tol = 0, False, 0
+    for _ in range(_MAX_STEPS):
+        width = hi - lo
+        mid = lo + 0.5 * width
+        if not lo < mid < hi or width <= tol and (past_tol := past_tol + 1) > _PAST_TOL:
+            break
+        y = mid if bisect else lo + width * (flo / (flo - fhi))
+        secant = lo < y < hi and y != mid
+        y = y if secant else mid
+        f = narrow(y)
+        if strict and f == 0.0:
+            return y, y
+        side = -1 if descending(f) else 1
+        if secant and side == moved:
+            # Illinois: two secant steps in a row moved the same end, so
+            # halve the slope kept at the other to make the next cross over
+            flo, fhi = (flo, 0.5 * fhi) if side < 0 else (0.5 * flo, fhi)
+        moved = side if secant else moved
+        bisect = hi - lo > 0.5 * width
+    return lo, hi
 
 
 def leftmost_minimizer(gprime: Callable[[float], float], a: float, b: float,
                        tol: float) -> float:
     """First y in [a, b] with gprime(y) >= 0, for a nondecreasing slope
-    selection gprime of a convex function; within tol."""
-    return _sign_change(gprime, a, b, tol, lambda slope: slope < 0.0)
+    selection gprime of a convex function; within the final bracket."""
+    return sign_change(gprime, a, b, tol)[1]
 
 
 def rightmost_minimizer(gprime: Callable[[float], float], a: float, b: float,
                         tol: float) -> float:
-    """Last y in [a, b] with gprime(y) <= 0; within tol."""
-    return _sign_change(gprime, a, b, tol, lambda slope: slope <= 0.0)
+    """Last y in [a, b] with gprime(y) <= 0; within the final bracket."""
+    return sign_change(gprime, a, b, tol, rightmost=True)[0]
 
 
 def minimizer_interval(gprime: Callable[[float], float], a: float, b: float,
                        tol: float) -> tuple[float, float]:
     """Both endpoints of the minimizer set in [a, b]. Near a strict
-    minimum the two bisections may cross by up to tol; a crossing
-    collapses to its midpoint."""
+    minimum the two searches may cross by up to their final widths; a
+    crossing collapses to its midpoint."""
     lo = leftmost_minimizer(gprime, a, b, tol)
     hi = rightmost_minimizer(gprime, a, b, tol)
     if lo > hi:
@@ -78,7 +133,7 @@ def min_value(g: Callable[[float], float], a: float, b: float, tol: float) -> fl
     if tol <= 0.0:
         raise DomainError(f"tol must be > 0, got {tol!r}")
     lo, hi = a, b
-    for _ in range(_MAX_BISECT):
+    for _ in range(_MAX_STEPS):
         if hi - lo <= tol:
             break
         m1 = lo + (hi - lo) / 3.0

@@ -4,7 +4,7 @@ Cyclic exact coordinate minimization with a Powell-style acceleration
 line search along each sweep's net displacement. Each line problem is
 convex and solved from a subgradient `grad` of the objective: the
 directional slope t -> grad(x + t u) . u is nondecreasing, and
-`convex1d.minimizer_interval` bisects its sign, so flat valleys
+`convex1d.minimizer_interval` searches its sign change, so flat valleys
 (piecewise-linear objectives) are handled without values of F.
 
 Optimality is certified coordinate-wise: at the returned point the

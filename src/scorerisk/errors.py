@@ -32,7 +32,7 @@ class UnsupportedScoreError(ScoreriskError, ValueError):
 class ContractError(ScoreriskError, RuntimeError):
     """An internal convexity/monotonicity contract was violated.
 
-    Raised when the subgradient bisections cross beyond slack or the
-    first-order condition fails at the reported minimizer, which signals a
-    broken score or risk-measure implementation rather than bad user input.
+    Raised when the leftmost minimizer found lies right of the rightmost
+    by more than the two final bracket widths, which signals a broken
+    score or risk-measure implementation rather than bad user input.
     """

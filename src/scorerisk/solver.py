@@ -3,8 +3,13 @@
 Given a coherent risk measure rho and a score f, minimizes
 g(y) = rho(-f(X - y)) over y. The minimum is the deviation value, the
 leftmost minimizer (negated) is the risk value, and the full minimizer
-interval is reported; flat-valley endpoints snap onto the kinks near
-them, found in O(n) memory. A grid-scan oracle checks the same quantities.
+interval is reported. Each endpoint is the sign change of the exact
+subgradient found by `convex1d.sign_change`: an exact kink for pinball-type
+scores under el, es and ml, whose kinks are listed in O(n) memory and
+binary-searched; elsewhere a zero slope, two adjacent floats, or a few
+steps past `tol` where the slope jumps at an unlisted kink (an es tail
+change under huber, say). So `tol` caps the work, and `tol_achieved` is
+the widest final bracket. A grid-scan oracle checks the same quantities.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from .scores import ScoreFunction
 from .spaces import ScenarioVariable, ess_bounds
 
 _BRACKET_PAD = 0.1  # widen [essinf, esssup] by this fraction of the range
+MAX_GRID_POINTS = 10**6  # brute_force_oracle's grid: 16 MB, one evaluation a point
 
 
 @dataclass(frozen=True)
@@ -75,49 +81,30 @@ class _Objective:
         return out
 
 
-def _flat_tol(g_min: float) -> float:
-    return max(1e-12, 1e-9 * abs(g_min))
+def _kink_lister(rho: CoherentRiskMeasure, s: ScoreFunction, X: ScenarioVariable):
+    """Kinks inside a bracket for the pinball family: the outcomes, and
+    under es and ml, which reorder payoffs, the points a*v_i + (1-a)*v_j
+    where two payoffs tie, listed once at most one per outcome (as one tie
+    value may hold) or 64 remain: no more memory than an evaluation."""
+    vals = np.unique(X.values)
+    if rho.kind not in ("es", "ml"):
+        return lambda lo, hi: vals[np.searchsorted(vals, lo, side="right"):np.searchsorted(vals, hi)]
+    a = 0.5 if s.kind == "absolute" else s.param
 
-
-def _snap_endpoint(g: _Objective, vals: np.ndarray, endpoint: float, g_min: float,
-                   window: float, leftmost: bool) -> float:
-    """Move a valley endpoint onto the outermost kink within `window` that
-    belongs to the minimizer set; bisection alone stops within tol of it.
-
-    Only kinks near the endpoint are built, from the sorted unique
-    outcomes `vals`: the outcomes themselves (score kinks at zero), for
-    huber the outcomes shifted by the truncation width, and for the
-    pinball family under the reordering measures es and ml the
-    alpha-weighted combinations of two outcomes, where two payoffs tie.
-    """
-    s = g.s
-    shift = s.param if s.kind == "huber" else 0.0
-    # padded so that rounding never drops a kink; the exact filter follows
-    pad = window + 1e-12 * (abs(vals[0]) + abs(vals[-1]) + shift)
-    lo, hi = endpoint - pad, endpoint + pad
-
-    def within(a: float, b: float) -> np.ndarray:
-        return vals[np.searchsorted(vals, a) : np.searchsorted(vals, b, side="right")]
-
-    found = [within(lo, hi)]
-    if s.kind == "huber":
-        found += [within(lo + shift, hi + shift) - shift, within(lo - shift, hi - shift) + shift]
-    elif s.kind in ("pinball", "cost", "absolute") and g.rho.kind in ("es", "ml"):
-        a = 0.5 if s.kind == "absolute" else s.param
-        # for each v_i, the partners v_j with a*v_i + (1-a)*v_j in [lo, hi]
-        # form one contiguous range of the sorted outcomes
-        first = np.searchsorted(vals, (lo - a * vals) / (1.0 - a))
-        last = np.searchsorted(vals, (hi - a * vals) / (1.0 - a), side="right")
+    def pairs(lo: float, hi: float):
+        # for each v_i, the partners v_j with a*v_i + (1-a)*v_j in the
+        # bracket form one contiguous range of the sorted outcomes
+        first = np.searchsorted(vals, (lo - a * vals) / (1.0 - a), side="right")
+        last = np.searchsorted(vals, (hi - a * vals) / (1.0 - a))
         count = np.maximum(last - first, 0)
-        j = np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum())
-        found.append(a * np.repeat(vals, count) + (1.0 - a) * vals[j])
-    near = np.unique(np.concatenate(found))
-    near = near[np.abs(near - endpoint) <= window]
-    tol = _flat_tol(g_min)
-    for v in near if leftmost else near[::-1]:
-        if g(float(v)) <= g_min + tol:
-            return float(v)
-    return endpoint
+        total = int(count.sum())
+        if total > max(vals.size, 64):
+            return None
+        j = np.repeat(first - np.cumsum(count) + count, count) + np.arange(total)
+        near = np.unique(a * np.repeat(vals, count) + (1.0 - a) * vals[j])
+        return near[(lo < near) & (near < hi)]  # rounding may admit the ends
+
+    return pairs
 
 
 def solve(rho: CoherentRiskMeasure, s: ScoreFunction, X: ScenarioVariable,
@@ -128,85 +115,37 @@ def solve(rho: CoherentRiskMeasure, s: ScoreFunction, X: ScenarioVariable,
     if lo0 == hi0:
         # constant position: the score is zero at y = c and positive elsewhere
         return SolveResult(0.0, lo0, lo0, -lo0, 0.0, 0)
-
     rng = hi0 - lo0
+    if not math.isfinite(rng):
+        raise DomainError(f"outcome range [{lo0!r}, {hi0!r}] is wider than a float holds")
+
     a = lo0 - _BRACKET_PAD * rng
     b = hi0 + _BRACKET_PAD * rng
-    window = 10.0 * max(tol, 1e-9 * rng)
     g = _Objective(rho, s, X)
+    kinks = None if s.differentiable else _kink_lister(rho, s, X)
+    search = dict(kinks=kinks, linear=kinks is not None and rho.kind in ("el", "es", "ml"))
 
-    # bracket the minimizer set by bisecting the sign of the exact
-    # subgradient g'(y) = grad_rho(payoff) . f'(X - y); a strictly convex
-    # objective has a single minimizer. Increasing y decreases X - y, so
-    # the right derivative of the objective pairs with the left derivative
-    # of the score and vice versa; the choice matters only at kinks.
-    left = right = convex1d.leftmost_minimizer(g.slope(s.fprime_left), a, b, tol)
+    # the exact subgradient is g'(y) = grad_rho(payoff) . f'(X - y). As y
+    # increases X - y decreases, so the objective's right derivative pairs
+    # with the score's left one and vice versa, which matters only at
+    # kinks. A strictly convex objective has a single minimizer.
+    lo, left = convex1d.sign_change(g.slope(s.fprime_left), a, b, tol,
+                                    strict=s.smooth_strictly_convex, **search)
+    right, hi = left, left
     if not s.smooth_strictly_convex:
-        right = convex1d.rightmost_minimizer(g.slope(s.fprime_right), a, b, tol)
-        if left > right:
-            if not s.differentiable and left - right > window:
-                raise ContractError(
-                    "minimizer endpoints crossed beyond slack; "
-                    "score/risk implementation violates convexity"
-                )
-            left = right = 0.5 * (left + right)
-
-    g_min = min(g(left), g(right))
-    if not s.smooth_strictly_convex:
-        # flat-valley endpoints of piecewise objectives sit on kink
-        # candidates; snapping makes them exact
-        vals = np.unique(X.values)
-        left = _snap_endpoint(g, vals, left, g_min, window, leftmost=True)
-        right = _snap_endpoint(g, vals, right, g_min, window, leftmost=False)
+        right, hi = convex1d.sign_change(g.slope(s.fprime_right), a, b, tol,
+                                         rightmost=True, **search)
+    width = max(left - lo, hi - right)
+    if left - right > (left - lo) + (hi - right):
+        raise ContractError(f"leftmost minimizer {left!r} > rightmost {right!r} beyond the final "
+                            f"widths {left - lo!r}, {hi - right!r}: the objective is not convex")
+    if left > right:
+        left = right = 0.5 * (left + right)
     # endpoints stay inside [essinf, esssup]
     left = min(max(left, lo0), hi0)
     right = min(max(right, lo0), hi0)
-    if left > right:
-        left = right = 0.5 * (left + right)
-    g_min = min(g_min, g(left), g(right))
-
-    if s.differentiable and rho.has_dual_maximizer:
-        _verify_first_order(rho, s, X, left, tol, rng)
-
-    return SolveResult(
-        d_value=g_min,
-        argmin_lo=left,
-        argmin_hi=right,
-        r_value=-left,
-        tol_achieved=tol,
-        evaluations=g.calls,
-    )
-
-
-def _verify_first_order(rho, s, X, y: float, tol: float, rng: float) -> None:
-    """First-order condition at the reported minimizer.
-
-    Under the expected-loss measure the dual maximizer is the base
-    measure itself, so the one-sided score derivatives are averaged under
-    it directly. For es/ml the argmax over the dual set is non-unique at
-    the optimum (tied tail atoms); there the condition is checked as a
-    subgradient sign change across the minimizer.
-    """
-    x = X.values
-    p = X.space.p
-    scale = 1.0 + float(np.max(np.abs(s.fprime_right(x - y))))
-    slack = 1e4 * max(tol, 1e-9 * rng) * scale
-    if rho.kind == "el":
-        dminus = float(np.dot(p, -s.fprime_right(x - y)))
-        dplus = float(np.dot(p, -s.fprime_left(x - y)))
-        ok = dminus <= slack and dplus >= -slack
-    else:
-        eps = 10.0 * max(tol, 1e-9 * rng)
-
-        def gprime(at: float) -> float:
-            grad = payoff_gradient(rho, -s.f(x - at), p)
-            return float(np.dot(grad, s.fprime_right(x - at)))
-
-        ok = gprime(y - eps) <= slack and gprime(y + eps) >= -slack
-    if not ok:
-        raise ContractError(
-            f"first-order condition violated at reported minimizer {y!r}"
-        )
+    g_min = g(left) if left == right else min(g(left), g(right))
+    return SolveResult(g_min, left, right, -left, width, g.calls)
 
 
 def brute_force_oracle(rho: CoherentRiskMeasure, s: ScoreFunction,
@@ -226,13 +165,17 @@ def brute_force_oracle(rho: CoherentRiskMeasure, s: ScoreFunction,
     rng = hi0 - lo0
     a = lo0 - rng / 10.0
     b = hi0 + rng / 10.0
+    points = (b - a) / grid_step + 1.0
+    if not points <= MAX_GRID_POINTS:  # also rejects inf and nan
+        raise DomainError(f"grid of {points:.3g} points over [{a!r}, {b!r}] exceeds "
+                          f"{MAX_GRID_POINTS}; choose a coarser grid_step")
     g = _Objective(rho, s, X)
     ys = np.arange(a, b + grid_step / 2.0, grid_step)
     vals = g.grid(ys)
     k = int(np.argmin(vals))
     g_grid_min = float(vals[k])
 
-    flat = vals <= g_grid_min + _flat_tol(g_grid_min)
+    flat = vals <= g_grid_min + max(1e-12, 1e-9 * abs(g_grid_min))
     left = float(ys[np.argmax(flat)])
     right = float(ys[len(flat) - 1 - np.argmax(flat[::-1])])
 
@@ -240,14 +183,7 @@ def brute_force_oracle(rho: CoherentRiskMeasure, s: ScoreFunction,
     hi_ref = min(b, ys[k] + grid_step)
     g_min = min(g_grid_min, convex1d.min_value(g, lo_ref, hi_ref, 1e-12 * (1.0 + rng)))
 
-    return SolveResult(
-        d_value=g_min,
-        argmin_lo=left,
-        argmin_hi=right,
-        r_value=-left,
-        tol_achieved=grid_step,
-        evaluations=g.calls,
-    )
+    return SolveResult(g_min, left, right, -left, grid_step, g.calls)
 
 
 def acceptability_index(rho: CoherentRiskMeasure, s: ScoreFunction,

@@ -135,6 +135,43 @@ class TestExitCodes:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "risk, score", [("es:0.5", "absolute"), ("el", "squared")], ids=["es-absolute", "el-squared"]
+    )
+    def test_range_beyond_float(self, risk, score, capsys, tmp_path):
+        huge = tmp_path / "huge.csv"
+        huge.write_text("x\n1e308\n-1e308\n0\n")
+        code, out, err = run_cli(["solve", str(huge), "--risk", risk, "--score", score], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: outcome range")
+
+    def test_oracle_check_range_beyond_float(self, capsys, tmp_path):
+        huge = tmp_path / "huge.csv"
+        huge.write_text("x\n1e308\n-1e308\n0\n")
+        code, out, err = run_cli(["oracle-check", str(huge)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_oracle_check_grid_too_large(self, capsys, tmp_path):
+        wide = tmp_path / "wide.csv"
+        wide.write_text("x\n0\n1e6\n")
+        code, out, err = run_cli(["oracle-check", str(wide)], capsys)
+        assert code == 1
+        assert out == ""
+        assert "grid" in err
+
+    def test_non_finite_result_is_refused(self, capsys, tmp_path):
+        # exp(800) overflows, so the deviation is inf, which JSON cannot spell
+        data = tmp_path / "linex.csv"
+        data.write_text("x\n-800\n0\n800\n")
+        with np.errstate(over="ignore"):
+            code, out, err = run_cli(["solve", str(data), "--score", "linex:1"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: d_value is not finite")
+
     def test_usage_error_unknown_command(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             run(["frobnicate", str(DATA / "quartet.csv")])

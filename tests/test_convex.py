@@ -1,11 +1,18 @@
-"""The shared convex kernels: subgradient-sign bisection and coordinate descent."""
+"""The shared convex kernels: the slope-sign bracket search and coordinate descent."""
+
+import math
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
 from scorerisk import DomainError
-from scorerisk.convex1d import leftmost_minimizer, minimizer_interval, rightmost_minimizer
+from scorerisk.convex1d import (
+    leftmost_minimizer,
+    minimizer_interval,
+    rightmost_minimizer,
+    sign_change,
+)
 from scorerisk.convexnd import minimize_convex
 
 TOL = 1e-9
@@ -40,6 +47,54 @@ class TestMinimizerInterval:
     def test_rejects_nonpositive_tol(self):
         with pytest.raises(DomainError):
             minimizer_interval(flat_valley_slope, 0.0, 3.0, 0.0)
+
+
+class Counted:
+    """A slope that counts its calls."""
+
+    def __init__(self, slope):
+        self.slope, self.calls = slope, 0
+
+    def __call__(self, y):
+        self.calls += 1
+        return self.slope(y)
+
+
+class TestSignChange:
+    def test_listed_linear_kinks_give_the_exact_kink(self):
+        # slope of sum |y - k_i|: constant between the kinks, zero only
+        # between the 3rd and 4th, so the leftmost minimizer is kinks[2]
+        kinks = np.sort(np.random.default_rng(3).normal(0.0, 1.0, 6)) * math.pi
+        slope = Counted(lambda y: float(np.sum(np.sign(y - kinks))))
+
+        def listed(lo, hi):
+            return kinks[(lo < kinks) & (kinks < hi)]
+
+        lo, hi = sign_change(slope, -10.0, 10.0, 1e-3, kinks=listed, linear=True)
+        assert lo == hi == kinks[2]
+        lo, hi = sign_change(slope, -10.0, 10.0, 1e-3, rightmost=True, kinks=listed, linear=True)
+        assert lo == hi == kinks[3]
+        assert slope.calls <= 2 * (2 + math.ceil(math.log2(kinks.size + 1)))
+
+    def test_unlisted_jump_stops_within_tol(self):
+        jump = 0.1 * math.pi
+        slope = Counted(lambda y: -1.0 if y < jump else 2.0)
+        tol = 1e-9
+        lo, hi = sign_change(slope, -5.0, 7.0, tol)
+        assert lo < jump <= hi
+        assert hi - lo <= tol
+        # each step that fails to halve the bracket is followed by a bisection
+        assert slope.calls <= 2 * math.ceil(math.log2(12.0 / tol)) + 8
+
+    def test_smooth_root_ends_at_adjacent_floats(self):
+        # a loose tol caps the work but not the precision on a smooth
+        # piece; bisection would need 58 steps to reach adjacent floats
+        for strict in (False, True):
+            slope = Counted(lambda y: 2.0 * (y - 0.3) + math.exp(y))
+            lo, hi = sign_change(slope, -4.0, 4.0, 1e-3, strict=strict)
+            assert slope.calls <= 25
+            assert lo <= hi <= math.nextafter(lo, math.inf)
+            assert slope(lo) <= 0.0 <= slope(hi)
 
 
 class TestMinimizeConvex:

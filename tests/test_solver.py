@@ -81,6 +81,12 @@ class TestWorkedExamples:
         assert res.argmin_lo == pytest.approx(5.0, abs=1e-10)
         assert res.argmin_hi == pytest.approx(5.0, abs=1e-10)
 
+    def test_squared_el_is_exact(self):
+        # the slope is linear in y, so the secant step lands on the mean
+        res = solve(EL, ScoreFunction.squared(), uvar([1, 2, 3]))
+        assert res.r_value == -2.0
+        assert res.tol_achieved == 0.0
+
     def test_constant_short_circuit(self):
         res = solve(EL, ScoreFunction.squared(), uvar([3, 3, 3]))
         assert (res.d_value, res.argmin_lo, res.argmin_hi, res.r_value) == (0.0, 3.0, 3.0, -3.0)
@@ -89,6 +95,10 @@ class TestWorkedExamples:
     def test_tol_domain(self):
         with pytest.raises(DomainError):
             solve(EL, ScoreFunction.squared(), uvar([1, 2]), tol=0.0)
+
+    def test_range_beyond_float_is_refused(self):
+        with pytest.raises(DomainError):
+            solve(EL, ScoreFunction.squared(), uvar([1e308, -1e308, 0.0]))
 
 
 class TestSolveResultInvariants:
@@ -103,6 +113,7 @@ class TestSolveResultInvariants:
             assert lo - 1e-9 <= res.argmin_lo and res.argmin_hi <= hi + 1e-9
             assert res.r_value == -res.argmin_lo
             assert res.d_value >= 0.0
+            assert res.tol_achieved <= 1e-9
 
     def test_singleton_when_strictly_convex(self, rng):
         for s in SCORE_CATALOG:
@@ -111,6 +122,22 @@ class TestSolveResultInvariants:
             X = random_variable(rng)
             res = solve(EL, s, X, tol=1e-9)
             assert res.argmin_hi - res.argmin_lo <= 1e-8
+
+    def test_loose_tol_caps_work_not_precision(self):
+        # the kinks are searched, not scanned: a loose tol neither costs
+        # evaluations nor moves the exact endpoints
+        X = uvar(0.8 * np.random.default_rng(1).standard_t(4, 2500))
+        rho, s = CoherentRiskMeasure.es(0.1), ScoreFunction.pinball(0.1)
+        loose, tight = solve(rho, s, X, tol=1e-2), solve(rho, s, X, tol=1e-8)
+        assert loose.evaluations < 200
+        assert (loose.argmin_lo, loose.argmin_hi) == (tight.argmin_lo, tight.argmin_hi)
+        assert loose.tol_achieved == 0.0
+
+    def test_unlisted_jump_at_the_minimizer_is_bounded(self):
+        # the evar slope jumps at this minimizer, a point no kink list holds
+        res = solve(CoherentRiskMeasure.evar(0.3), ScoreFunction.expectile(0.7), uvar([1, 2, 3]))
+        assert res.evaluations < 80
+        assert 0.0 < res.tol_achieved <= 1e-8
 
     @pytest.mark.parametrize(
         "rho", [EL, CoherentRiskMeasure.es(0.1), CoherentRiskMeasure.ml()], ids=["el", "es", "ml"]
@@ -152,6 +179,21 @@ class TestOracleAgreement:
     def test_oracle_grid_step_domain(self):
         with pytest.raises(DomainError):
             brute_force_oracle(EL, ScoreFunction.squared(), uvar([1, 2]), 0.0)
+
+    def test_oracle_refuses_an_infinite_grid(self):
+        with pytest.raises(DomainError):
+            brute_force_oracle(EL, ScoreFunction.squared(), uvar([1e308, -1e308, 0.0]), 1e-4)
+
+    def test_oracle_refuses_a_large_grid_before_allocating(self):
+        # 1.2e10 grid points would take 96 GB for the grid alone
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError):
+                brute_force_oracle(EL, ScoreFunction.squared(), uvar([0.0, 1e6]), 1e-4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestClosedForms:
