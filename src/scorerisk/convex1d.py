@@ -99,26 +99,14 @@ def sign_change(gprime: Callable[[float], float], lo: float, hi: float, tol: flo
     return lo, hi
 
 
-def leftmost_minimizer(gprime: Callable[[float], float], a: float, b: float,
-                       tol: float) -> float:
-    """First y in [a, b] with gprime(y) >= 0, for a nondecreasing slope
-    selection gprime of a convex function; within the final bracket."""
-    return sign_change(gprime, a, b, tol)[1]
-
-
-def rightmost_minimizer(gprime: Callable[[float], float], a: float, b: float,
-                        tol: float) -> float:
-    """Last y in [a, b] with gprime(y) <= 0; within the final bracket."""
-    return sign_change(gprime, a, b, tol, rightmost=True)[0]
-
-
 def minimizer_interval(gprime: Callable[[float], float], a: float, b: float,
                        tol: float) -> tuple[float, float]:
-    """Both endpoints of the minimizer set in [a, b]. Near a strict
-    minimum the two searches may cross by up to their final widths; a
-    crossing collapses to its midpoint."""
-    lo = leftmost_minimizer(gprime, a, b, tol)
-    hi = rightmost_minimizer(gprime, a, b, tol)
+    """Both endpoints of the minimizer set in [a, b]: the first y with
+    gprime(y) >= 0 and the last with gprime(y) <= 0, each within its
+    final bracket. Near a strict minimum the two searches may cross by
+    up to their final widths; a crossing collapses to its midpoint."""
+    lo = sign_change(gprime, a, b, tol)[1]
+    hi = sign_change(gprime, a, b, tol, rightmost=True)[0]
     if lo > hi:
         lo = hi = 0.5 * (lo + hi)
     return lo, hi

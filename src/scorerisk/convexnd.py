@@ -1,25 +1,57 @@
-"""Minimization of convex functions on R^d with exact line searches.
+"""Minimization of convex functions on R^d by the deep-cut ellipsoid method.
 
-Cyclic exact coordinate minimization with a Powell-style acceleration
-line search along each sweep's net displacement. Each line problem is
-convex and solved from a subgradient `grad` of the objective: the
-directional slope t -> grad(x + t u) . u is nondecreasing, and
-`convex1d.minimizer_interval` searches its sign change, so flat valleys
-(piecewise-linear objectives) are handled without values of F.
+The method (Shor 1977; Bland, Goldfarb & Todd, Operations Research 29,
+1981) keeps an ellipsoid E = {x + J u : |u| <= 1} around a minimizer.
+At the centre x it evaluates F and a subgradient g. Every y with
+g . (y - x) > F_best - F(x) has F(y) > F_best, so that part of E goes,
+and the smallest ellipsoid around the rest replaces E. Only values and
+the exact subgradient `grad` are needed: no smoothness, no LP solver.
+The cut is deep, through the best value F_best, only when F(x) exceeds
+F_best by more than its rounding, and central (through x) otherwise: a
+deep cut made on rounding noise can cut off the optimum. The rounding is
+taken as sqrt(eps)·|F(x)| plus how far 4 roundings of x move the cut.
 
-Optimality is certified coordinate-wise: at the returned point the
-one-sided difference quotients of F along every coordinate must bracket
-zero; the residual reports the largest violation.
+Each cut also bounds the minimum from below by F(x) - |J^T g|, the least
+value of the cut's affine minorant on E. `foc_residual` is the certified
+gap: F at the returned point minus the best of these bounds.
+
+`tol` bounds the final ellipsoid's axes in coefficient space: the search
+stops once the root-sum-square of the axes is at most tol, so that any
+two points of E, the centre and the minimizer among them, lie within
+tol of each other. It also stops once E is no wider along the
+subgradient than 4 roundings of x move the cut: cuts beyond that are
+made on rounding noise. This ends flat optima wider than tol too, which
+keep E wide along their face. The final centre is returned, not the
+best-valued point: near a smooth minimum the values differ by less than
+their rounding.
+
+The bounds hold only if the starting ellipsoid holds the answer. While
+the answer is not well inside the ellipsoid the search started from, it
+restarts, centred at the best point and 10 times wider, unless the last
+restart gained nothing: a flat optimum can reach past any start.
+
+The volume of E falls by about exp(-1/(2(d + 1))) per step, so each
+halving of the axes takes about 1.4·d·(d + 1) steps: the step count
+grows as d². An expected-loss squared fit on 1 000 rows at tol 1e-8
+takes 0.3 s at d = 10 and 1.3 s at d = 20 (5 000 and 19 500 steps) on
+one core of a shared 2-core x86-64 VM.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from . import convex1d
+_EPS = float(np.finfo(float).eps)
+# F's rounding relative to |F(x)|, taken as half the digits: the
+# residuals of a close or ill-conditioned fit cancel to many ulps of the
+# value they sum to
+_NOISE = math.sqrt(_EPS)
+_WIDEN = 10.0  # each restart starts from an ellipsoid this much wider
+_INSIDE = 0.5  # an answer further out than this, in starting radii, restarts
 
 
 @dataclass(frozen=True)
@@ -30,79 +62,55 @@ class MinimizeResult:
     sweeps: int
 
 
-def _line_bracket(slope: Callable[[float], float], step: float) -> tuple[float, float]:
-    """Expand from 0 until the sign change of the nondecreasing slope
-    lies inside [lo, hi]."""
-    s0 = slope(0.0)
-    if s0 == 0.0:
-        return -step, step
-    # walk downhill: forward when descending at 0, backward otherwise
-    direction = 1.0 if s0 < 0.0 else -1.0
-    t_prev, t = 0.0, direction * step
-    while direction * slope(t) < 0.0 and abs(t) <= 1e12:
-        t_prev, t = t, 2.0 * t
-    return min(t_prev, t), max(t_prev, t)
-
-
-def line_minimize(slope: Callable[[float], float], step: float, tol: float) -> float:
-    """Midpoint of the minimizer interval over the real line of a convex
-    function with nondecreasing slope selection `slope`."""
-    lo, hi = _line_bracket(slope, step)
-    a, b = convex1d.minimizer_interval(slope, lo, hi, tol)
-    return 0.5 * (a + b)
-
-
-def coordinate_certificate(
-    F: Callable[[np.ndarray], float], x: np.ndarray, h: float
-) -> float:
-    """Largest coordinate-wise violation of dminus <= 0 <= dplus at x."""
-    fx = F(x)
-    worst = 0.0
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = h
-        dplus = (F(x + e) - fx) / h
-        dminus = (fx - F(x - e)) / h
-        worst = max(worst, dminus, -dplus)
-    return worst
-
-
 def minimize_convex(
     F: Callable[[np.ndarray], float],
     grad: Callable[[np.ndarray], np.ndarray],
     x0: Sequence[float],
     steps: Sequence[float],
     tol: float = 1e-8,
-    max_sweeps: int = 400,
+    max_sweeps: int = 100000,
 ) -> MinimizeResult:
     """Minimize convex F, given a subgradient selection `grad` of F.
 
-    Stops when a sweep moves x by at most tol in every coordinate, which
-    is the resolution of the line searches.
+    The search starts from the ball around x0 that holds the box
+    |x - x0| <= steps twice over. `sweeps` counts the cuts over all
+    restarts, at most `max_sweeps`.
     """
     x = np.asarray(x0, dtype=float).copy()
-    steps = np.asarray(steps, dtype=float)
     d = x.size
-
-    def line(u: np.ndarray, step: float) -> float:
-        return line_minimize(lambda t: float(np.dot(grad(x + t * u), u)), step, tol)
-
+    radii = 2.0 * math.sqrt(d) * np.asarray(steps, dtype=float)
+    best_x, best = x, math.inf
     sweeps = 0
-    for sweeps in range(1, max_sweeps + 1):
-        x_start = x.copy()
-        for i in range(d):
-            e = np.zeros(d)
-            e[i] = 1.0
-            x = x + line(e, float(steps[i])) * e
-        delta = x - x_start
-        dn = float(np.max(np.abs(delta)))
-        if dn > 0.0:
-            u = delta / dn
-            x = x + line(u, max(dn, tol)) * u
-        moved = float(np.max(np.abs(x - x_start)))
-        if moved <= tol:
+    while True:
+        start, J, lower, before = x, np.diag(radii), -math.inf, best
+        while True:
+            sweeps += 1
+            fx, g = F(x), np.asarray(grad(x), dtype=float)
+            if fx < best:
+                best_x, best = x, fx
+            q = J.T @ g
+            depth = math.sqrt(float(q @ q))
+            lower = max(lower, fx - depth)
+            # how far 4 roundings of x move the cut
+            slack = 4.0 * _EPS * float(np.abs(g) @ np.abs(x))
+            if (depth <= slack or sweeps >= max_sweeps
+                    or 4.0 * float(np.einsum("ij,ij->", J, J)) <= tol * tol):
+                break
+            deep = fx - best > _NOISE * abs(fx) + slack
+            a = (fx - best) / depth if deep else 0.0
+            if a >= 1.0:
+                # no point of E beats the best point, which is then optimal
+                x, fx = best_x, best
+                break
+            q = q / depth
+            Jq = J @ q
+            x = x - (1.0 + d * a) / (d + 1.0) * Jq
+            along = d * (1.0 - a) / (d + 1.0)
+            across = d * math.sqrt((1.0 - a * a) / (d * d - 1.0)) if d > 1 else 0.0
+            J = across * J + (along - across) * Jq[:, None] * q
+        if sweeps >= max_sweeps or np.linalg.norm((x - start) / radii) <= _INSIDE:
             break
-
-    h = max(tol, 1e-9 * float(np.max(steps)))
-    residual = coordinate_certificate(F, x, h)
-    return MinimizeResult(x=x, value=F(x), foc_residual=residual, sweeps=sweeps)
+        if before - best <= _NOISE * abs(best):
+            break  # the last restart gained nothing
+        x, radii = best_x, _WIDEN * radii
+    return MinimizeResult(x=x, value=fx, foc_residual=max(fx - lower, 0.0), sweeps=sweeps)

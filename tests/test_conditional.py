@@ -1,9 +1,15 @@
 """Robust regression: oracles, equivariance, and the CD metric."""
 
+import inspect
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from scorerisk import (
     CoherentRiskMeasure,
@@ -19,7 +25,7 @@ from scorerisk import (
     solve,
 )
 
-from scorerisk.conditional import _linear_program_phase
+from scorerisk.convexnd import minimize_convex
 
 from conftest import uvar, wvar
 
@@ -62,8 +68,8 @@ class TestStrictMode:
         assert result.cd == 1.0
 
     def test_converged_fit_stops_before_sweep_cap(self):
-        # heteroscedastic noise; the line searches return bracket midpoints,
-        # so a stop test finer than tol would run to the sweep cap here
+        # heteroscedastic noise: the fit stops on its own, with a
+        # certified gap
         rng = np.random.default_rng([11, 3, 0])
         rng.standard_normal((1000, 3))
         rng.standard_t(5, 1000)
@@ -73,7 +79,46 @@ class TestStrictMode:
         Y = uvar(0.5 + A @ np.array([0.5, -1.0, 2.0]) + noise)
         X = [Y.with_values(a) for a in A.T]
         result = fit(EL, ScoreFunction.expectile(0.7), Y, X, tol=1e-8)
-        assert result.iterations < 50
+        cap = inspect.signature(minimize_convex).parameters["max_sweeps"].default
+        assert result.iterations < cap
+        assert result.foc_residual <= 1e-9 * (1.0 + result.objective)
+
+    def test_near_collinear_design_matches_least_squares(self):
+        # the optimum lies far outside the starting ellipsoid along a
+        # valley of curvature about 1e-6
+        rng = np.random.default_rng(5)
+        x1 = rng.standard_normal(500)
+        x2 = x1 + 1e-3 * rng.standard_normal(500)
+        y = 1e3 * (x1 - x2) + rng.standard_normal(500)
+        Y = uvar(y)
+        result = fit(EL, SQ, Y, [Y.with_values(x1), Y.with_values(x2)], tol=1e-8)
+        B = np.column_stack([np.ones(500), x1, x2])
+        theta = np.linalg.lstsq(B, y, rcond=None)[0]
+        best = float(np.mean((y - B @ theta) ** 2))
+        assert result.objective == pytest.approx(best, rel=1e-9)
+        fitted = np.concatenate([[result.mu_star], result.betas])
+        np.testing.assert_allclose(fitted, theta, rtol=0.0, atol=1e-6 * (1.0 + np.max(np.abs(theta))))
+
+    def test_max_loss_fit_is_the_chebyshev_regression(self):
+        # ml/squared minimizes max_i r_i^2: the square of the minimax
+        # (Chebyshev) regression, a linear program in (theta, t)
+        rng = np.random.default_rng([0, 3, 0])
+        A = rng.standard_normal((1000, 3))
+        y = 1.0 + A @ np.array([1.0, 2.0, 3.0]) + rng.standard_t(5, 1000)
+        Y = uvar(y)
+        result = fit(CoherentRiskMeasure.ml(), SQ, Y, [Y.with_values(a) for a in A.T])
+        B = np.column_stack([np.ones(1000), A])
+        ones = np.ones((1000, 1))
+        lp = linprog(
+            np.r_[np.zeros(4), 1.0],
+            A_ub=np.block([[B, -ones], [-B, -ones]]),
+            b_ub=np.r_[y, -y],
+            bounds=[(None, None)] * 4 + [(0.0, None)],
+            method="highs",
+        )
+        assert lp.success
+        best = lp.fun ** 2
+        assert abs(result.objective - best) <= 1e-6 * (1.0 + best)
 
     def test_mu_equals_negated_residual_risk(self, rng):
         for rho in (EL, CoherentRiskMeasure.es(0.4), CoherentRiskMeasure.ml()):
@@ -145,18 +190,35 @@ class TestRelaxedMode:
             assert result.objective == pytest.approx(best, abs=1e-6)
 
     def test_linear_program_memory_is_linear(self, rng):
+        # the quantile-regression fit must stay linear in m: one dense
+        # m x m matrix alone would take 69 MiB
         m = 3000
         B = np.column_stack([np.ones(m), rng.normal(0, 1, (m, 3))])
         y = B @ np.array([0.5, 1.0, -2.0, 0.5]) + rng.standard_t(5, m)
-        p = np.full(m, 1.0 / m)
+        Y = uvar(y)
+        X = [Y.with_values(B[:, j]) for j in range(1, 4)]
         tracemalloc.start()
         try:
-            _linear_program_phase(ScoreFunction.pinball(0.3), y, B, p)
+            fit(EL, ScoreFunction.pinball(0.3), Y, X, tol=1e-8)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # a dense [1, A, I, -I] constraint matrix alone would take 137 MiB
         assert peak < 50 * 2**20
+
+    def test_fit_does_not_import_scipy(self):
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "import scorerisk as sr\n"
+            "x = np.linspace(-1.0, 1.0, 40)\n"
+            "Y = sr.ScenarioVariable(sr.FiniteScenarioSpace.uniform(40), 1.0 + 2.0 * x + np.cos(7.0 * x))\n"
+            "sr.fit(sr.CoherentRiskMeasure.el(), sr.ScoreFunction.pinball(0.5), Y, [Y.with_values(x)])\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
     def test_median_regression_interpolates(self, rng):
         # absolute-loss fit of an exactly affine target is exact

@@ -1,4 +1,4 @@
-"""The shared convex kernels: the slope-sign bracket search and coordinate descent."""
+"""The shared convex kernels: the slope-sign bracket search and the ellipsoid method."""
 
 import math
 
@@ -7,12 +7,7 @@ import pytest
 from scipy.optimize import brentq
 
 from scorerisk import DomainError
-from scorerisk.convex1d import (
-    leftmost_minimizer,
-    minimizer_interval,
-    rightmost_minimizer,
-    sign_change,
-)
+from scorerisk.convex1d import minimizer_interval, sign_change
 from scorerisk.convexnd import minimize_convex
 
 TOL = 1e-9
@@ -41,8 +36,8 @@ class TestMinimizerInterval:
         assert lo == pytest.approx(root, abs=TOL)
 
     def test_minimizer_outside_bracket_returns_nearest_end(self):
-        assert leftmost_minimizer(flat_valley_slope, 3.0, 5.0, TOL) == 3.0
-        assert rightmost_minimizer(flat_valley_slope, -3.0, 0.0, TOL) == 0.0
+        assert sign_change(flat_valley_slope, 3.0, 5.0, TOL) == (3.0, 3.0)
+        assert sign_change(flat_valley_slope, -3.0, 0.0, TOL, rightmost=True) == (0.0, 0.0)
 
     def test_rejects_nonpositive_tol(self):
         with pytest.raises(DomainError):
@@ -99,19 +94,20 @@ class TestSignChange:
 
 class TestMinimizeConvex:
     def test_separable_quadratic(self):
-        center = np.array([1.5, -0.25, 40.0])
+        # optimum centres far outside the starting ellipsoid need restarts
         scale = np.array([1.0, 10.0, 0.01])
-
-        def F(x):
-            return float(np.sum(scale * (x - center) ** 2))
-
-        def grad(x):
-            return 2.0 * scale * (x - center)
-
-        result = minimize_convex(F, grad, np.zeros(3), np.ones(3), tol=TOL)
-        np.testing.assert_allclose(result.x, center, rtol=0.0, atol=TOL)
-        assert result.sweeps < 10
-        assert result.foc_residual <= 1e-6
+        for offset in (0.0, 1e3, 1e5):
+            center = np.array([1.5, -0.25, 40.0]) + offset
+            forms = [
+                (lambda x: float(np.sum(scale * (x - center) ** 2)),
+                 lambda x: 2.0 * scale * (x - center)),
+                (lambda x: float(np.sum(scale * np.abs(x - center))),
+                 lambda x: scale * np.where(x >= center, 1.0, -1.0)),
+            ]
+            for F, grad in forms:
+                result = minimize_convex(F, grad, np.zeros(3), np.ones(3), tol=TOL)
+                np.testing.assert_allclose(result.x, center, rtol=0.0, atol=TOL)
+                assert result.foc_residual <= 1e-6
 
     def test_flat_coordinate_stays_in_its_valley(self):
         # |x0| + flat valley in x1: any x1 in [1, 2] is optimal
