@@ -3,14 +3,15 @@
 Five kinds: expected loss (el), expected shortfall (es), expectile value
 at risk (evar), mean plus semi-deviation (msd), and maximum loss (ml).
 Each evaluates exactly on the finite space through one kernel per
-measure: sort-free sums for el, msd and ml, one sorted lower tail for es,
-and an exact expectile root from one sort for evar. el/es/ml additionally
-expose a worst-case reweighting attaining the dual representation
-rho(Z) = max_q E_q[-Z].
+measure: sort-free sums for el, msd and ml, for es a lower tail selected
+in O(n) and sorted alone, and an exact expectile root from one sort for
+evar. el/es/ml additionally expose a worst-case reweighting attaining the
+dual representation rho(Z) = max_q E_q[-Z].
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,12 +91,33 @@ class CoherentRiskMeasure:
 
 
 def _sorted_tail(Z: np.ndarray, p: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Stable row-wise order of Z and each sorted outcome's mass clipped to
-    the lower alpha-tail.
+    """The leading entries of each row's stable order of Z, enough to hold
+    its lower alpha-tail, and each one's mass clipped to that tail.
 
     Ties break by index, so the fractional boundary atom is deterministic;
-    each row of masses sums to alpha.
+    each row of masses sums to alpha. Both are bit-identical to the first
+    entries of a full stable sort, but only the outcomes up to the c-th
+    smallest value, all its ties included, are sorted, picked in O(n).
+    They are enough once they carry mass alpha + 2 eps: every later
+    running sum less its own outcome then rounds to at least alpha, so
+    every later mass is 0. Otherwise c doubles, and from n/2 on the whole
+    row is sorted, as is a batch whose rows tie at their c-th smallest.
     """
+    m, n = Z.shape
+    c = math.ceil(alpha * n) + 1  # one outcome past the tail when p is uniform
+    while 2 * c < n:
+        kth = np.partition(Z, c - 1, axis=1)[:, c - 1 : c]
+        picked = np.flatnonzero(Z <= kth)
+        if np.isnan(kth).any() or m > 1 and picked.size > c * m:
+            break  # nan among the c smallest, or rows tied at kth, of unequal lengths
+        rows = np.arange(m)[:, None]
+        candidates = picked.reshape(m, -1) - n * rows
+        order = candidates[rows, np.argsort(Z[rows, candidates], axis=1, kind="stable")]
+        ps = p[order]
+        cum = np.cumsum(ps, axis=1)
+        if np.all(cum[:, -1] >= alpha + 2.0 * np.finfo(float).eps):
+            return order, np.clip(alpha - (cum - ps), 0.0, ps)
+        c *= 2
     order = np.argsort(Z, axis=1, kind="stable")
     ps = p[order]
     return order, np.clip(alpha - (np.cumsum(ps, axis=1) - ps), 0.0, ps)

@@ -49,6 +49,10 @@ class _Objective:
         self.x = X.values
         self.p = X.space.p
         self.calls = 0
+        self.lo, self.hi = ess_bounds(X)
+        # slopes at points outside [lo, hi], where no x - y is 0 and so
+        # both one-sided selections agree: the two searches share them
+        self._outside: dict[float, float] = {}
 
     def __call__(self, y: float) -> float:
         self.calls += 1
@@ -60,6 +64,8 @@ class _Objective:
         of the objective; each call counts as an evaluation."""
 
         def gprime(y: float) -> float:
+            if y in self._outside:
+                return self._outside[y]
             self.calls += 1
             payoff = -self.s.f(self.x - y)
             grad, fp = payoff_gradient(self.rho, payoff, self.p), fprime(self.x - y)
@@ -67,7 +73,10 @@ class _Objective:
             # on a flat piece the sum rounds to a few ulp of either sign;
             # within that rounding bound it is zero
             noise = self.x.size * np.finfo(float).eps * float(np.dot(np.abs(grad), np.abs(fp)))
-            return slope if abs(slope) > noise else 0.0
+            slope = slope if abs(slope) > noise else 0.0
+            if not self.lo <= y <= self.hi:
+                self._outside[y] = slope
+            return slope
 
         return gprime
 

@@ -9,6 +9,7 @@ outcome set (used as candidate measures in worst-case expectations).
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -193,22 +194,32 @@ def load_csv(source) -> tuple[FiniteScenarioSpace, dict[str, ScenarioVariable]]:
     if len(set(header)) != len(header):
         raise ValidationError("CSV header contains duplicate column names")
 
-    rows = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != len(header):
-            raise ValidationError(
-                f"CSV row {lineno} has {len(row)} cells, expected {len(header)}"
-            )
+    lines = list(source)
+    # numpy's C reader takes plain comma-separated decimals, each parsed to
+    # the float that `float` gives; quoting, ragged rows, blank cells and
+    # whatever else it refuses fall to the csv loop and its row-level errors
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # "input contained no data" is a warning
         try:
-            rows.append([float(cell) for cell in row])
-        except ValueError:
-            raise ValidationError(f"CSV row {lineno} contains a non-numeric cell") from None
-    if not rows:
-        raise ValidationError("CSV input has no data rows")
-
-    table = np.asarray(rows, dtype=float)
+            table = np.loadtxt(lines, dtype=float, delimiter=",", comments=None, ndmin=2)
+        except (ValueError, UserWarning):
+            table = None
+    if table is None or table.shape[1] != len(header):
+        rows = []
+        for lineno, row in enumerate(csv.reader(lines), start=2):
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            if len(row) != len(header):
+                raise ValidationError(
+                    f"CSV row {lineno} has {len(row)} cells, expected {len(header)}"
+                )
+            try:
+                rows.append([float(cell) for cell in row])
+            except ValueError:
+                raise ValidationError(f"CSV row {lineno} contains a non-numeric cell") from None
+        if not rows:
+            raise ValidationError("CSV input has no data rows")
+        table = np.asarray(rows, dtype=float)
     if not np.all(np.isfinite(table)):
         raise ValidationError("CSV input contains non-finite values")
 

@@ -8,6 +8,7 @@ from scorerisk import (
     CapabilityError,
     CoherentRiskMeasure,
     DomainError,
+    FiniteScenarioSpace,
     MeasureWeights,
     ScenarioVariable,
     ValidationError,
@@ -341,3 +342,82 @@ class TestPayoffGradient:
             assert float(np.dot(grad, d)) == pytest.approx(
                 (plus - minus) / (2 * h), abs=5e-5
             )
+
+
+def stable_sort_tail(Z, p, alpha):
+    """Lower alpha-tail masses per outcome from a full stable sort of each
+    row, and the ES values summed in that order: the kernel's reference,
+    with the same order and the same running sums."""
+    order = np.argsort(Z, axis=1, kind="stable")
+    ps = p[order]
+    masses = np.clip(alpha - (np.cumsum(ps, axis=1) - ps), 0.0, ps)
+    w = np.zeros(Z.shape)
+    np.put_along_axis(w, order, masses, axis=1)
+    values = -(masses * np.take_along_axis(Z, order, axis=1)).sum(axis=1) / alpha
+    return w, values
+
+
+def tie_patterns(rng, n):
+    """Rows of n outcomes: continuous, rounded to a fine and a coarse tick,
+    two values, and constant."""
+    z = rng.normal(0.0, 1.0, n)
+    return np.array([z, np.round(z / 0.05) * 0.05, np.round(z / 0.5) * 0.5,
+                     np.where(z < 0.3, -1.0, 2.0), np.full(n, 0.7)])
+
+
+class TestExpectedShortfallKernel:
+    """The selected tail against a full stable sort: payoff gradients and
+    dual maximizers bit-identical, values within 1e-15 (1 + |rho|), as the
+    kernel sums over the tail only."""
+
+    @staticmethod
+    def check(Z, p, alpha):
+        space = FiniteScenarioSpace(p)
+        rho, p = CoherentRiskMeasure.es(alpha), space.p
+        w, values = stable_sort_tail(Z, p, alpha)
+        batch = evaluate_batch(rho, Z, p)
+        np.testing.assert_allclose(batch, values, rtol=0.0, atol=1e-15 * (1.0 + np.abs(values).max()))
+        for k, z in enumerate(Z):
+            np.testing.assert_array_equal(payoff_gradient(rho, z, p), -w[k] / alpha)
+            np.testing.assert_array_equal(dual_maximizer(rho, ScenarioVariable(space, z)).q,
+                                          MeasureWeights(w[k] / alpha).q)
+
+    @pytest.mark.parametrize("n", [1, 2, 10_000])
+    @pytest.mark.parametrize("alpha", [None, 0.1, 0.5, 0.95], ids=["alpha_n_below_1", "0.1", "0.5", "0.95"])
+    @pytest.mark.parametrize("weights", ["uniform", "dirichlet"])
+    def test_rows_match_full_sort(self, n, alpha, weights, rng):
+        alpha = alpha or 0.5 / n
+        p = np.full(n, 1.0 / n) if weights == "uniform" else rng.dirichlet(np.full(n, 0.5))
+        self.check(tie_patterns(rng, n), p, alpha)
+
+    @pytest.mark.parametrize("low, mass, kths", [(3000, 4e-4, [1000, 2001, 4003]),
+                                                  (1001, 0.1 - 1e-13, [1000, 2001])])
+    def test_light_tail_candidates_double(self, low, mass, kths, rng, monkeypatch):
+        # the `low` lowest of 10 000 outcomes hold `mass`, so the first
+        # ceil(alpha n) + 1 = 1001 candidates fall short of alpha = 0.1
+        n, alpha = 10_000, 0.1
+        z = rng.permutation(n).astype(float)
+        p = np.where(z < low, mass / low, (1.0 - mass) / (n - low))
+        seen = []
+        partition = np.partition
+
+        def spy(a, kth, **kwargs):
+            seen.append(kth)
+            return partition(a, kth, **kwargs)
+
+        monkeypatch.setattr(np, "partition", spy)
+        self.check(z[None, :], p, alpha)
+        assert seen[:len(kths)] == kths
+        # a batch whose rows tie at the c-th smallest is sorted whole
+        self.check(np.array([z, np.round(z / 7.0)]), p, alpha)
+
+    def test_nan_payoffs_order_last(self, rng):
+        # as in a full sort; 95 of 100 nan put one among the c smallest
+        z = rng.normal(0.0, 1.0, 100)
+        for count in (30, 95):
+            row = z.copy()
+            row[rng.permutation(100)[:count]] = np.nan
+            p = np.full(100, 0.01)
+            w, _ = stable_sort_tail(row[None, :], p, 0.1)
+            rho = CoherentRiskMeasure.es(0.1)
+            np.testing.assert_array_equal(payoff_gradient(rho, row, p), -w[0] / 0.1)

@@ -193,3 +193,44 @@ class TestLoadCsv:
     def test_missing_file(self):
         with pytest.raises(OSError):
             load_csv("/nonexistent/scenarios.csv")
+
+    def test_random_decimals_parse_as_float_does(self, tmp_path):
+        rng = np.random.default_rng(7)
+        cells = [[f"{v:.17g}" for v in row] for row in rng.normal(0.0, 1e3, (500, 3))
+                 * 10.0 ** rng.integers(-300, 300, (500, 3))]
+        text = "a,b,c\n" + "".join(",".join(row) + "\n" for row in cells)
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        expected = np.array([[float(cell) for cell in row] for row in cells])
+        for source in (path, io.StringIO(text)):
+            _, variables = load_csv(source)
+            table = np.column_stack([variables[name].values for name in "abc"])
+            assert table.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("a,b\n1_0,2\n3,4\n", {"a": [10.0, 3.0], "b": [2.0, 4.0]}),
+            ('a,b\n"1.5",2\n3,4\n', {"a": [1.5, 3.0], "b": [2.0, 4.0]}),
+            ("a,b\n1,2\n \t ,  \n3,4\n", {"a": [1.0, 3.0], "b": [2.0, 4.0]}),
+            ("a\n1\n   \n2\n", {"a": [1.0, 2.0]}),
+            ("a,b\n", "CSV input has no data rows"),
+            ("a\n\n", "CSV input has no data rows"),
+            ("a,b\n1,2\n#3,4\n", "CSV row 3 contains a non-numeric cell"),
+            ("a,b\n1,2\n3,4,5\n", "CSV row 3 has 3 cells, expected 2"),
+            ("a,b\n1,2\n\n3\n", "CSV row 4 has 1 cells, expected 2"),
+        ],
+        ids=["underscore", "quoted", "blank_row", "blank_row_one_column", "header_only",
+             "header_only_one_column", "comment_row", "long_row", "short_row"],
+    )
+    def test_csv_module_fallback(self, text, expected, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        for source in (path, io.StringIO(text)):
+            if isinstance(expected, str):
+                with pytest.raises(ValidationError) as info:
+                    load_csv(source)
+                assert str(info.value) == expected
+            else:
+                _, variables = load_csv(source)
+                assert {k: v.values.tolist() for k, v in variables.items()} == expected
