@@ -110,6 +110,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _pick_target(variables: dict, name):
     if name is None:
+        if not variables:
+            raise ScoreriskError("input has no outcome column besides 'prob'")
         return next(iter(variables.items()))
     if name not in variables:
         raise ScoreriskError(

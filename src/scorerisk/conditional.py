@@ -76,7 +76,7 @@ def _check_design(B: np.ndarray, p: np.ndarray) -> None:
 
 def fit(rho: CoherentRiskMeasure, s: ScoreFunction, Y: ScenarioVariable,
         X: list[ScenarioVariable], tol: float = 1e-8) -> RegressionFit:
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise DomainError(f"tol must be > 0, got {tol!r}")
     relaxed = not s.smooth_strictly_convex
     if relaxed and rho.kind != "el":

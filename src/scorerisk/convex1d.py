@@ -1,10 +1,9 @@
 """One-dimensional convex minimization by an exact search on the slope sign.
 
-A convex function's minimizer set is where its slope changes sign. Any
-selection of its subdifferential is nondecreasing, so the leftmost
-minimizer is the first point where the selection is >= 0 and the
-rightmost the last point where it is <= 0. `sign_change` keeps a bracket
-with the selection descending at its left end only, and stops:
+A convex function's minimizer set is where its slope changes sign: its
+right derivative is >= 0 from the leftmost minimizer on, and its left
+derivative <= 0 up to the rightmost. `sign_change` keeps a bracket with
+a nondecreasing slope selection descending at its left end only, and stops:
 
 - at listed kinks, by a binary search over the slopes at the gap
   midpoints; where the function is linear between kinks, the kink where
@@ -16,7 +15,9 @@ with the selection descending at its left end only, and stops:
   the slope jumps at a point no list holds.
 
 So `tol` caps the work, and the final width is the precision reached.
-`min_value` finds the minimum value from values alone, without a slope.
+`minimizer_interval` searches both ends, the second from where the first
+stopped, evaluating each point once. `min_value` finds the minimum value
+from values alone, without a slope.
 """
 
 from __future__ import annotations
@@ -29,12 +30,12 @@ from .errors import DomainError
 
 _MAX_STEPS = 200
 _PAST_TOL = 3  # steps taken after the bracket is under tol
+Kinks = Callable[[float, float], np.ndarray | None]
 
 
 def sign_change(gprime: Callable[[float], float], lo: float, hi: float, tol: float, *,
                 rightmost: bool = False, strict: bool = False,
-                kinks: Callable[[float, float], np.ndarray | None] | None = None,
-                linear: bool = False) -> tuple[float, float]:
+                kinks: Kinks | None = None, linear: bool = False) -> tuple[float, float]:
     """Final bracket of the point where the slope selection `gprime`
     stops being < 0 (<= 0 with `rightmost`): (y, y) when y is exact, one
     end twice when the point lies outside [lo, hi]. `strict`: gprime is
@@ -42,7 +43,7 @@ def sign_change(gprime: Callable[[float], float], lo: float, hi: float, tol: flo
     gprime may jump, or None while too many to list; with `linear`,
     gprime is constant between them.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise DomainError(f"tol must be > 0, got {tol!r}")
 
     def descending(slope: float) -> bool:
@@ -99,17 +100,35 @@ def sign_change(gprime: Callable[[float], float], lo: float, hi: float, tol: flo
     return lo, hi
 
 
-def minimizer_interval(gprime: Callable[[float], float], a: float, b: float,
-                       tol: float) -> tuple[float, float]:
-    """Both endpoints of the minimizer set in [a, b]: the first y with
-    gprime(y) >= 0 and the last with gprime(y) <= 0, each within its
-    final bracket. Near a strict minimum the two searches may cross by
-    up to their final widths; a crossing collapses to its midpoint."""
-    lo = sign_change(gprime, a, b, tol)[1]
-    hi = sign_change(gprime, a, b, tol, rightmost=True)[0]
-    if lo > hi:
-        lo = hi = 0.5 * (lo + hi)
-    return lo, hi
+def minimizer_interval(slopes: Callable[[float], tuple[float, float]], a: float, b: float,
+                       tol: float, *, strict: bool = False, kinks: Kinks | None = None,
+                       linear: bool = False) -> tuple[float, float, float]:
+    """Both ends of the minimizer set in [a, b] and the widest final
+    bracket, from the pair (left, right) of derivative selections
+    `slopes(y)`. The rightmost end, unless `strict`, is searched from the
+    leftmost search's lower end to the first point seen where the left
+    selection is > 0. `strict`, `kinks` and `linear` are `sign_change`'s;
+    ends crossed near a strict minimum collapse to their midpoint."""
+    seen: dict[float, tuple[float, float]] = {}
+
+    def pair(y: float) -> tuple[float, float]:
+        if y not in seen:
+            seen[y] = slopes(y)
+        return seen[y]
+
+    search = dict(kinks=kinks, linear=linear)
+    lo, left = sign_change(lambda y: pair(y)[1], a, b, tol, strict=strict, **search)
+    if strict:
+        return left, left, left - lo
+    # an exact kink is returned unevaluated; the last point seen left of it
+    # is that search's final lower end
+    start = max(y for y in seen if y <= lo)
+    end = min((y for y, (slope, _) in seen.items() if slope > 0.0), default=b)
+    right, hi = sign_change(lambda y: pair(y)[0], start, end, tol, rightmost=True, **search)
+    width = max(left - lo, hi - right)
+    if left > right:
+        left = right = 0.5 * (left + right)
+    return left, right, width
 
 
 def min_value(g: Callable[[float], float], a: float, b: float, tol: float) -> float:
@@ -118,7 +137,7 @@ def min_value(g: Callable[[float], float], a: float, b: float, tol: float) -> fl
     The bracket converges to a (possibly flat) minimizer set; the value
     converges regardless of flatness.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise DomainError(f"tol must be > 0, got {tol!r}")
     lo, hi = a, b
     for _ in range(_MAX_STEPS):

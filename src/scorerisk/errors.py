@@ -30,9 +30,9 @@ class UnsupportedScoreError(ScoreriskError, ValueError):
 
 
 class ContractError(ScoreriskError, RuntimeError):
-    """An internal convexity/monotonicity contract was violated.
+    """An internal convexity contract was violated.
 
-    Raised when the leftmost minimizer found lies right of the rightmost
-    by more than the two final bracket widths, which signals a broken
-    score or risk-measure implementation rather than bad user input.
+    Raised where the objective's left derivative exceeds its right one by
+    more than rounding at a point the solver evaluates, which signals a
+    broken score or risk-measure implementation rather than bad user input.
     """

@@ -190,8 +190,6 @@ class ScoreFunction:
             return np.where(x > 0.0, a, -(1.0 - a))
         if k == "absolute":
             return np.where(x > 0.0, 1.0, -1.0)
-        if k == "expectile":
-            return np.where(x > 0.0, 2.0 * a * x, 2.0 * (1.0 - a) * x)
         # remaining kinds are differentiable everywhere
         return self.fprime_right(x)
 

@@ -3,13 +3,14 @@
 Given a coherent risk measure rho and a score f, minimizes
 g(y) = rho(-f(X - y)) over y. The minimum is the deviation value, the
 leftmost minimizer (negated) is the risk value, and the full minimizer
-interval is reported. Each endpoint is the sign change of the exact
-subgradient found by `convex1d.sign_change`: an exact kink for pinball-type
-scores under el, es and ml, whose kinks are listed in O(n) memory and
-binary-searched; elsewhere a zero slope, two adjacent floats, or a few
-steps past `tol` where the slope jumps at an unlisted kink (an es tail
-change under huber, say). So `tol` caps the work, and `tol_achieved` is
-the widest final bracket. A grid-scan oracle checks the same quantities.
+interval is reported. `convex1d.minimizer_interval` finds both ends from
+the exact one-sided subgradients, both from one payoff gradient a point:
+an exact kink for pinball-type scores under el, es and ml, whose kinks
+are listed in O(n) memory and binary-searched; elsewhere a zero slope,
+two adjacent floats, or a few steps past `tol` where the slope jumps at
+an unlisted kink (an es tail change under huber, say). So `tol` caps the
+work, and `tol_achieved` is the widest final bracket. A grid-scan oracle
+checks the same quantities.
 """
 
 from __future__ import annotations
@@ -49,36 +50,30 @@ class _Objective:
         self.x = X.values
         self.p = X.space.p
         self.calls = 0
-        self.lo, self.hi = ess_bounds(X)
-        # slopes at points outside [lo, hi], where no x - y is 0 and so
-        # both one-sided selections agree: the two searches share them
-        self._outside: dict[float, float] = {}
 
     def __call__(self, y: float) -> float:
         self.calls += 1
         payoff = -self.s.f(self.x - y)
         return float(evaluate_batch(self.rho, payoff[None, :], self.p)[0])
 
-    def slope(self, fprime):
-        """y -> grad_rho(payoff) . fprime(X - y), a subgradient selection
-        of the objective; each call counts as an evaluation."""
-
-        def gprime(y: float) -> float:
-            if y in self._outside:
-                return self._outside[y]
-            self.calls += 1
-            payoff = -self.s.f(self.x - y)
-            grad, fp = payoff_gradient(self.rho, payoff, self.p), fprime(self.x - y)
-            slope = float(np.dot(grad, fp))
-            # on a flat piece the sum rounds to a few ulp of either sign;
-            # within that rounding bound it is zero
-            noise = self.x.size * np.finfo(float).eps * float(np.dot(np.abs(grad), np.abs(fp)))
-            slope = slope if abs(slope) > noise else 0.0
-            if not self.lo <= y <= self.hi:
-                self._outside[y] = slope
-            return slope
-
-        return gprime
+    def slopes(self, y: float) -> tuple[float, float]:
+        """Left and right slopes grad_rho(payoff) . f'(X - y), with f's right and left
+        derivatives as X - y falls; ContractError where left > right beyond rounding."""
+        self.calls += 1
+        z = self.x - y
+        grad = payoff_gradient(self.rho, -self.s.f(z), self.p)
+        fp = self.s.fprime_right(z)
+        left = right = float(np.dot(grad, fp))
+        if not self.s.differentiable:
+            right = float(np.dot(grad, self.s.fprime_left(z)))
+        # on a flat piece each sum rounds to a few ulp of either sign, so within
+        # one rounding bound it is zero (the sums differ only where X - y is 0)
+        noise = float(self.x.size * np.finfo(float).eps * np.dot(np.abs(grad), np.abs(fp)))
+        if left - right > noise:
+            raise ContractError(f"at y = {y!r} the left slope {left!r} exceeds the right slope "
+                                f"{right!r} by more than rounding ({noise!r}): the objective "
+                                "is not convex")
+        return tuple(slope if abs(slope) > noise else 0.0 for slope in (left, right))
 
     def grid(self, ys: np.ndarray, chunk: int = 4096) -> np.ndarray:
         out = np.empty(ys.size)
@@ -118,7 +113,7 @@ def _kink_lister(rho: CoherentRiskMeasure, s: ScoreFunction, X: ScenarioVariable
 
 def solve(rho: CoherentRiskMeasure, s: ScoreFunction, X: ScenarioVariable,
           tol: float = 1e-8) -> SolveResult:
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise DomainError(f"tol must be > 0, got {tol!r}")
     lo0, hi0 = ess_bounds(X)
     if lo0 == hi0:
@@ -132,24 +127,9 @@ def solve(rho: CoherentRiskMeasure, s: ScoreFunction, X: ScenarioVariable,
     b = hi0 + _BRACKET_PAD * rng
     g = _Objective(rho, s, X)
     kinks = None if s.differentiable else _kink_lister(rho, s, X)
-    search = dict(kinks=kinks, linear=kinks is not None and rho.kind in ("el", "es", "ml"))
-
-    # the exact subgradient is g'(y) = grad_rho(payoff) . f'(X - y). As y
-    # increases X - y decreases, so the objective's right derivative pairs
-    # with the score's left one and vice versa, which matters only at
-    # kinks. A strictly convex objective has a single minimizer.
-    lo, left = convex1d.sign_change(g.slope(s.fprime_left), a, b, tol,
-                                    strict=s.smooth_strictly_convex, **search)
-    right, hi = left, left
-    if not s.smooth_strictly_convex:
-        right, hi = convex1d.sign_change(g.slope(s.fprime_right), a, b, tol,
-                                         rightmost=True, **search)
-    width = max(left - lo, hi - right)
-    if left - right > (left - lo) + (hi - right):
-        raise ContractError(f"leftmost minimizer {left!r} > rightmost {right!r} beyond the final "
-                            f"widths {left - lo!r}, {hi - right!r}: the objective is not convex")
-    if left > right:
-        left = right = 0.5 * (left + right)
+    left, right, width = convex1d.minimizer_interval(
+        g.slopes, a, b, tol, strict=s.smooth_strictly_convex, kinks=kinks,
+        linear=kinks is not None and rho.kind in ("el", "es", "ml"))
     # endpoints stay inside [essinf, esssup]
     left = min(max(left, lo0), hi0)
     right = min(max(right, lo0), hi0)

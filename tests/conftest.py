@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from scorerisk import FiniteScenarioSpace, ScenarioVariable
+from scorerisk import FiniteScenarioSpace, ScenarioVariable, ScoreFunction
 
 settings.register_profile("deterministic", derandomize=True)
 settings.load_profile("deterministic")
@@ -22,6 +22,21 @@ def wvar(values, p) -> ScenarioVariable:
         FiniteScenarioSpace(np.asarray(p, dtype=float)),
         np.asarray(values, dtype=float),
     )
+
+
+class SwappedPinball(ScoreFunction):
+    """A pinball score whose one-sided derivatives are exchanged, so the
+    objective's left slope exceeds its right one wherever y is an outcome."""
+
+    def fprime_left(self, x):
+        return ScoreFunction.fprime_right(self, x)
+
+    def fprime_right(self, x):
+        return ScoreFunction.fprime_left(self, x)
+
+
+def swapped_pinball(alpha: float) -> ScoreFunction:
+    return SwappedPinball("pinball", alpha, True, False, False)
 
 
 @pytest.fixture

@@ -6,7 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from scorerisk.cli import run
+from scorerisk.cli import EXIT_CONTRACT, run
+from scorerisk.scores import ScoreFunction
+
+from conftest import swapped_pinball
 
 DATA = Path(__file__).parent / "data"
 
@@ -171,6 +174,33 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert err.startswith("error: d_value is not finite")
+
+    @pytest.mark.parametrize(
+        "command", ["risk", "deviation", "solve", "oracle-check", "regress", "hedge", "portfolio"]
+    )
+    def test_prob_column_only(self, command, capsys, tmp_path):
+        data = tmp_path / "prob.csv"
+        data.write_text("prob\n0.5\n0.5\n")
+        code, out, err = run_cli([command, str(data)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_nan_tol(self, capsys):
+        code, out, err = run_cli(["solve", str(DATA / "quartet.csv"), "--tol", "nan"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: tol must be > 0")
+
+    def test_contract_violation(self, capsys, monkeypatch):
+        monkeypatch.setattr(ScoreFunction, "parse", staticmethod(lambda text: swapped_pinball(0.3)))
+        code, out, err = run_cli(
+            ["solve", str(DATA / "quartet.csv"), "--risk", "msd:0.5", "--score", "pinball:0.3"],
+            capsys,
+        )
+        assert code == EXIT_CONTRACT == 2
+        assert out == ""
+        assert err.startswith("error: at y = 2.0 the left slope ")
 
     def test_usage_error_unknown_command(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

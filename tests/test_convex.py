@@ -19,29 +19,55 @@ def flat_valley_slope(y: float) -> float:
     return max(y - 2.0, 0.0) - max(1.0 - y, 0.0)
 
 
+def both(slope):
+    """The (left, right) selection pair of a slope with no jumps."""
+    return lambda y: (slope(y), slope(y))
+
+
 class TestMinimizerInterval:
     def test_flat_valley_gives_both_endpoints(self):
-        lo, hi = minimizer_interval(flat_valley_slope, -5.0, 7.0, TOL)
+        lo, hi, width = minimizer_interval(both(flat_valley_slope), -5.0, 7.0, TOL)
         assert lo == pytest.approx(1.0, abs=TOL)
         assert hi == pytest.approx(2.0, abs=TOL)
+        assert width <= TOL
 
     def test_strictly_convex_gives_one_point(self):
         # slope of (y - 0.3)^2 + exp(y)
         def slope(y):
             return 2.0 * (y - 0.3) + np.exp(y)
 
-        lo, hi = minimizer_interval(slope, -4.0, 4.0, TOL)
         root = brentq(slope, -4.0, 4.0, xtol=1e-15)
-        assert lo == hi
-        assert lo == pytest.approx(root, abs=TOL)
+        for strict in (False, True):
+            lo, hi, _ = minimizer_interval(both(slope), -4.0, 4.0, TOL, strict=strict)
+            assert lo == hi
+            assert lo == pytest.approx(root, abs=TOL)
 
     def test_minimizer_outside_bracket_returns_nearest_end(self):
         assert sign_change(flat_valley_slope, 3.0, 5.0, TOL) == (3.0, 3.0)
         assert sign_change(flat_valley_slope, -3.0, 0.0, TOL, rightmost=True) == (0.0, 0.0)
 
     def test_rejects_nonpositive_tol(self):
-        with pytest.raises(DomainError):
-            minimizer_interval(flat_valley_slope, 0.0, 3.0, 0.0)
+        for tol in (0.0, math.nan):
+            with pytest.raises(DomainError):
+                minimizer_interval(both(flat_valley_slope), 0.0, 3.0, tol)
+
+    def test_listed_kinks_give_both_exact_ends_evaluating_each_point_once(self):
+        # sum |y - k_i| over an even count is flat between the middle two
+        # kinks; at a kink the left selection counts it as -1, the right as +1
+        kinks = np.sort(np.random.default_rng(5).normal(0.0, 1.0, 8)) * math.pi
+        points = []
+
+        def slopes(y):
+            points.append(y)
+            return (float(np.sum(np.where(y > kinks, 1.0, -1.0))),
+                    float(np.sum(np.where(y >= kinks, 1.0, -1.0))))
+
+        def listed(lo, hi):
+            return kinks[(lo < kinks) & (kinks < hi)]
+
+        found = minimizer_interval(slopes, -10.0, 10.0, 1e-3, kinks=listed, linear=True)
+        assert found == (kinks[3], kinks[4], 0.0)
+        assert len(set(points)) == len(points)
 
 
 class Counted:

@@ -172,9 +172,11 @@ class TestDerivatives:
         "s", [s for s in ALL_SCORES if s.differentiable], ids=lambda s: s.spec_string()
     )
     def test_differentiable_sides_agree(self, s, rng):
-        for _ in range(25):
-            x, y = rng.normal(0, 3, 2)
-            assert dminus_y(s, x, y) == dplus_y(s, x, y)
+        # x - y = 0.0 and -0.0 too: the sides must agree to the sign of zero
+        pairs = [rng.normal(0, 3, 2) for _ in range(25)] + [(0.0, 0.0), (-0.0, 0.0)]
+        for x, y in pairs:
+            minus, plus = dminus_y(s, x, y), dplus_y(s, x, y)
+            assert minus == plus and np.signbit(minus) == np.signbit(plus)
 
     @pytest.mark.parametrize(
         "s", [s for s in ALL_SCORES if s.smooth_strictly_convex], ids=lambda s: s.spec_string()

@@ -8,6 +8,7 @@ import pytest
 
 from scorerisk import (
     CoherentRiskMeasure,
+    ContractError,
     DomainError,
     MeasureWeights,
     ScoreFunction,
@@ -17,9 +18,10 @@ from scorerisk import (
     minimax_check,
     risk_value,
     solve,
+    solver,
 )
 
-from conftest import uvar, wvar
+from conftest import swapped_pinball, uvar, wvar
 
 EL = CoherentRiskMeasure.el()
 
@@ -93,8 +95,9 @@ class TestWorkedExamples:
         assert res.evaluations == 0
 
     def test_tol_domain(self):
-        with pytest.raises(DomainError):
-            solve(EL, ScoreFunction.squared(), uvar([1, 2]), tol=0.0)
+        for tol in (0.0, math.nan):
+            with pytest.raises(DomainError):
+                solve(EL, ScoreFunction.squared(), uvar([1, 2]), tol=tol)
 
     def test_range_beyond_float_is_refused(self):
         with pytest.raises(DomainError):
@@ -138,6 +141,39 @@ class TestSolveResultInvariants:
         res = solve(CoherentRiskMeasure.evar(0.3), ScoreFunction.expectile(0.7), uvar([1, 2, 3]))
         assert res.evaluations < 80
         assert 0.0 < res.tol_achieved <= 1e-8
+
+    @pytest.mark.parametrize(
+        "risk, score", [("el", "pinball:0.1"), ("es:0.1", "barron:1"), ("es:0.5", "absolute")]
+    )
+    def test_no_payoff_is_evaluated_twice(self, risk, score, monkeypatch):
+        # both ends come from one search that keeps every point it evaluates
+        payoffs = []
+        gradient, batch = solver.payoff_gradient, solver.evaluate_batch
+
+        def traced_gradient(rho, z, p):
+            payoffs.append(z.tobytes())
+            return gradient(rho, z, p)
+
+        def traced_batch(rho, Z, p):
+            payoffs.extend(z.tobytes() for z in Z)
+            return batch(rho, Z, p)
+
+        monkeypatch.setattr(solver, "payoff_gradient", traced_gradient)
+        monkeypatch.setattr(solver, "evaluate_batch", traced_batch)
+        X = uvar(np.random.default_rng(0).normal(0, 1, 1001))
+        res = solve(CoherentRiskMeasure.parse(risk), ScoreFunction.parse(score), X)
+        assert len(payoffs) == res.evaluations
+        assert len(set(payoffs)) == len(payoffs)
+
+    def test_swapped_one_sided_derivatives_break_the_contract(self):
+        # the msd search evaluates the slopes at the outcome 2, where the
+        # swapped left slope exceeds the right one
+        with pytest.raises(ContractError) as raised:
+            solve(CoherentRiskMeasure.msd(0.5), swapped_pinball(0.3), uvar([1, 2, 3, 4]))
+        message = str(raised.value)
+        assert message.startswith("at y = 2.0 the left slope ")
+        left, right = (float(part.split()[0]) for part in message.split(" slope ")[1:])
+        assert left > right
 
     @pytest.mark.parametrize(
         "rho", [EL, CoherentRiskMeasure.es(0.1), CoherentRiskMeasure.ml()], ids=["el", "es", "ml"]
