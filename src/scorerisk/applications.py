@@ -78,7 +78,7 @@ def _portfolio_direct(rho, s, assets, V, tol):
     n = V.shape[1]
     # V w - y = V_n - B theta with theta = (w_1..w_{n-1}, y)
     B = np.column_stack([V[:, -1:] - V[:, :-1], np.ones(V.shape[0])])
-    F, grad = conditional._affine_objective(rho, s, V[:, -1], B, space.p)
+    F = conditional._affine_objective(rho, s, V[:, -1], B, space.p)
 
     w0 = np.full(n - 1, 1.0 / n)
     equal = ScenarioVariable(space, V.mean(axis=1))
@@ -88,7 +88,7 @@ def _portfolio_direct(rho, s, assets, V, tol):
     ranges = np.ptp(V, axis=0) + 1.0
     steps = np.concatenate([y_scale / ranges[:-1], [y_scale]])
 
-    result = convexnd.minimize_convex(F, grad, theta0, steps, tol)
+    result = convexnd.minimize_convex(F, theta0, steps, tol)
     w = np.concatenate([result.x[:-1], [1.0 - result.x[:-1].sum()]])
     return PortfolioWeights(w), result.value
 

@@ -11,8 +11,8 @@ a nondecreasing slope selection descending at its left end only, and stops:
 - otherwise by the Illinois regula falsi (Dowell & Jarratt, BIT 11,
   1971), bisecting after each step that fails to halve the bracket: at
   a zero of a strictly increasing slope, at two adjacent floats, or a
-  few steps after the width drops under `tol`, which happens only where
-  the slope jumps at a point no list holds.
+  few steps (none if it starts there) after the width drops under `tol`,
+  which happens only where the slope jumps at a point no list holds.
 
 So `tol` caps the work, and the final width is the precision reached.
 `minimizer_interval` searches both ends, the second from where the first
@@ -62,6 +62,8 @@ def sign_change(gprime: Callable[[float], float], lo: float, hi: float, tol: flo
         return lo, lo
     if descending(fhi):
         return hi, hi
+    # tol caps the work: a bracket that starts under it takes no steps
+    past_tol = _PAST_TOL if hi - lo <= tol else 0
     while kinks is not None and (listed := kinks(lo, hi)) is None and lo < 0.5 * (lo + hi) < hi:
         narrow(0.5 * (lo + hi))
     if kinks is not None and listed is not None:
@@ -78,7 +80,7 @@ def sign_change(gprime: Callable[[float], float], lo: float, hi: float, tol: flo
             return k, k
         if lo < k < hi:
             narrow(k)  # the slope is continuous on either side of k from here
-    moved, bisect, past_tol = 0, False, 0
+    moved, bisect = 0, False
     for _ in range(_MAX_STEPS):
         width = hi - lo
         mid = lo + 0.5 * width

@@ -25,6 +25,7 @@ from scorerisk import (
     solve,
 )
 
+from scorerisk import convexnd
 from scorerisk.convexnd import minimize_convex
 
 from conftest import uvar, wvar
@@ -82,6 +83,33 @@ class TestStrictMode:
         cap = inspect.signature(minimize_convex).parameters["max_sweeps"].default
         assert result.iterations < cap
         assert result.foc_residual <= 1e-9 * (1.0 + result.objective)
+
+    def test_one_score_evaluation_per_cut(self, monkeypatch):
+        # each cut takes the value and the subgradient from one residual
+        rng = np.random.default_rng(7)
+        A = rng.standard_normal((1000, 3))
+        Y = uvar(1.0 + A @ np.array([0.5, -1.0, 2.0]) + rng.standard_normal(1000))
+        calls, cuts, inside = [0], [], [False]
+        score_f, minimize = ScoreFunction.f, convexnd.minimize_convex
+
+        def counted_f(self, x):
+            calls[0] += inside[0]
+            return score_f(self, x)
+
+        def traced_minimize(*args, **kwargs):
+            inside[0] = True
+            try:
+                result = minimize(*args, **kwargs)
+            finally:
+                inside[0] = False
+            cuts.append(result.sweeps)
+            return result
+
+        monkeypatch.setattr(ScoreFunction, "f", counted_f)
+        monkeypatch.setattr(convexnd, "minimize_convex", traced_minimize)
+        fit(EL, SQ, Y, [Y.with_values(a) for a in A.T])
+        assert len(cuts) == 1 and cuts[0] > 0
+        assert calls[0] == cuts[0]
 
     def test_near_collinear_design_matches_least_squares(self):
         # the optimum lies far outside the starting ellipsoid along a

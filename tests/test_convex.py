@@ -125,25 +125,23 @@ class TestMinimizeConvex:
         for offset in (0.0, 1e3, 1e5):
             center = np.array([1.5, -0.25, 40.0]) + offset
             forms = [
-                (lambda x: float(np.sum(scale * (x - center) ** 2)),
-                 lambda x: 2.0 * scale * (x - center)),
-                (lambda x: float(np.sum(scale * np.abs(x - center))),
-                 lambda x: scale * np.where(x >= center, 1.0, -1.0)),
+                lambda x: (float(np.sum(scale * (x - center) ** 2)),
+                           2.0 * scale * (x - center)),
+                lambda x: (float(np.sum(scale * np.abs(x - center))),
+                           scale * np.where(x >= center, 1.0, -1.0)),
             ]
-            for F, grad in forms:
-                result = minimize_convex(F, grad, np.zeros(3), np.ones(3), tol=TOL)
+            for F in forms:
+                result = minimize_convex(F, np.zeros(3), np.ones(3), tol=TOL)
                 np.testing.assert_allclose(result.x, center, rtol=0.0, atol=TOL)
                 assert result.foc_residual <= 1e-6
 
     def test_flat_coordinate_stays_in_its_valley(self):
         # |x0| + flat valley in x1: any x1 in [1, 2] is optimal
         def F(x):
-            return abs(x[0]) + 0.5 * (max(x[1] - 2.0, 0.0) ** 2 + max(1.0 - x[1], 0.0) ** 2)
+            value = abs(x[0]) + 0.5 * (max(x[1] - 2.0, 0.0) ** 2 + max(1.0 - x[1], 0.0) ** 2)
+            return value, np.array([1.0 if x[0] >= 0.0 else -1.0, flat_valley_slope(x[1])])
 
-        def grad(x):
-            return np.array([1.0 if x[0] >= 0.0 else -1.0, flat_valley_slope(x[1])])
-
-        result = minimize_convex(F, grad, np.array([3.0, -4.0]), np.ones(2), tol=TOL)
+        result = minimize_convex(F, np.array([3.0, -4.0]), np.ones(2), tol=TOL)
         assert abs(result.x[0]) <= TOL
         assert 1.0 - TOL <= result.x[1] <= 2.0 + TOL
         assert result.value == pytest.approx(0.0, abs=2 * TOL)

@@ -14,6 +14,7 @@ from scorerisk import (
     ScoreFunction,
     acceptability_index,
     brute_force_oracle,
+    convex1d,
     left_quantile,
     minimax_check,
     risk_value,
@@ -164,6 +165,32 @@ class TestSolveResultInvariants:
         res = solve(CoherentRiskMeasure.parse(risk), ScoreFunction.parse(score), X)
         assert len(payoffs) == res.evaluations
         assert len(set(payoffs)) == len(payoffs)
+
+    @pytest.mark.parametrize("risk, score, most, left", [
+        ("es:0.1", "barron:1", 45, -0.025832797916994124),
+        ("ml", "huber:0.5", 36, -0.4166924955635374),
+        ("el", "huber:0.5", 35, -0.06036499834376849),
+    ])
+    def test_rightmost_search_on_a_settled_bracket_takes_no_steps(self, risk, score, most, left,
+                                                                 monkeypatch):
+        # the leftmost search ends on a bracket under tol at an unlisted
+        # jump or a strict minimum, and the rightmost search starts there
+        searched, sign_change = [], convex1d.sign_change
+
+        def traced_search(gprime, lo, hi, tol, **kw):
+            points = []
+            searched.append((kw.get("rightmost", False), hi - lo, points))
+            return sign_change(lambda y: points.append(y) or gprime(y), lo, hi, tol, **kw)
+
+        monkeypatch.setattr(convex1d, "sign_change", traced_search)
+        X = uvar(np.random.default_rng(0).normal(0, 1, 1001))
+        res = solve(CoherentRiskMeasure.parse(risk), ScoreFunction.parse(score), X, tol=1e-8)
+        (first, _, seen), (rightmost, width, points) = searched
+        assert not first and rightmost and width <= 1e-8
+        assert set(points) <= set(seen)  # no new point: the bracket ends only
+        assert res.evaluations <= most
+        assert res.argmin_lo == pytest.approx(left, abs=1e-8)
+        assert res.argmin_hi == pytest.approx(left, abs=1e-8)
 
     def test_swapped_one_sided_derivatives_break_the_contract(self):
         # the msd search evaluates the slopes at the outcome 2, where the
