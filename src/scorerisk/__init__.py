@@ -20,7 +20,6 @@ from .errors import (
     DomainError,
     ScoreriskError,
     SingularDesignError,
-    UnsupportedScoreError,
     ValidationError,
 )
 from .risk import CoherentRiskMeasure, dual_maximizer
@@ -56,7 +55,6 @@ __all__ = [
     "ScoreriskError",
     "SingularDesignError",
     "SolveResult",
-    "UnsupportedScoreError",
     "ValidationError",
     "acceptability_index",
     "brute_force_oracle",

@@ -4,7 +4,10 @@ Both problems reduce to the machinery already built: the portfolio
 problem is a convex minimization over budget-constrained weights plus a
 location, and the hedge is exactly the conditional regression fit. Each
 portfolio solve is offered two ways (direct, and through the
-regression-equivalence construction) so the two can cross-check.
+regression-equivalence construction) so the two can cross-check. Both
+routes and the hedge take every (measure, score) pair; on a flat
+optimum the two routes may return different optimal weights, and only
+their deviations must agree.
 """
 
 from __future__ import annotations

@@ -1,16 +1,13 @@
 """Robust linear regression: conditional risk and deviation.
 
-Fits (mu, beta) minimizing rho(-f(Y - mu - X beta)). Two admission
-modes:
+Fits (mu, beta) minimizing rho(-f(Y - mu - X beta)) for every coherent
+risk measure rho and every score f of the catalog. The objective is
+convex in theta = (mu, beta); where f is not strictly convex its
+optimum may be flat, and the fit returns one minimizer together with
+its certified gap.
 
-- strict: the score must be smooth with strictly increasing derivative,
-  so the minimizer is unique and any coherent risk measure is allowed.
-- relaxed: non-smooth scores (the pinball family) are admitted with the
-  expected-loss measure only; the solution is one minimizer of a
-  possibly flat optimum, reported together with its certificate.
-
-Both modes minimize over theta = (mu, beta) with the deep-cut ellipsoid
-method of `convexnd`, on the exact subgradient of the objective; the
+Every fit minimizes over theta with the deep-cut ellipsoid method of
+`convexnd`, on the exact subgradient of the objective; the
 quantile-type fits need no LP solver. The search starts from (-R(Y), 0)
 and the ball holding the box of half-widths range(Y) + 1 for mu and
 (range(Y) + 1) / (range(X_j) + 1) for beta_j, and restarts 10 times
@@ -30,12 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import convexnd, solver
-from .errors import (
-    DimensionError,
-    DomainError,
-    SingularDesignError,
-    UnsupportedScoreError,
-)
+from .errors import DimensionError, DomainError, SingularDesignError
 from .risk import CoherentRiskMeasure, evaluate_batch, payoff_gradient
 from .scores import ScoreFunction
 from .spaces import ScenarioVariable
@@ -78,12 +70,6 @@ def fit(rho: CoherentRiskMeasure, s: ScoreFunction, Y: ScenarioVariable,
         X: list[ScenarioVariable], tol: float = 1e-8) -> RegressionFit:
     if not tol > 0.0:
         raise DomainError(f"tol must be > 0, got {tol!r}")
-    relaxed = not s.smooth_strictly_convex
-    if relaxed and rho.kind != "el":
-        raise UnsupportedScoreError(
-            f"score {s.spec_string()!r} is not smooth with strictly increasing "
-            "derivative; only the expected-loss measure admits it (relaxed mode)"
-        )
     A = _design_matrix(Y, X)
     p = Y.space.p
     y = Y.values
@@ -156,6 +142,11 @@ def conditional_risk_row(fit_result: RegressionFit, x_row) -> float:
 
 def conditional_risk(fit_result: RegressionFit, X: list[ScenarioVariable]) -> np.ndarray:
     """Conditional risk across all outcomes: -(mu* + X beta*)."""
+    n = fit_result.betas.size
+    if len(X) != n:
+        raise DimensionError(f"got {len(X)} regressors, fit has {n} betas")
+    if any(xi.space != X[0].space for xi in X[1:]):
+        raise DimensionError("regressors must live on one scenario space")
     A = np.column_stack([xi.values for xi in X])
     return -(fit_result.mu_star + A @ fit_result.betas)
 

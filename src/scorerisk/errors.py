@@ -25,10 +25,6 @@ class SingularDesignError(ScoreriskError, ValueError):
     """Regression design is exactly or numerically collinear."""
 
 
-class UnsupportedScoreError(ScoreriskError, ValueError):
-    """Score lacks the smoothness required by the strict fitting mode."""
-
-
 class ContractError(ScoreriskError, RuntimeError):
     """An internal convexity contract was violated.
 

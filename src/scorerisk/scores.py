@@ -1,14 +1,17 @@
 """Catalog of scoring functions S(x, y) = f(x - y).
 
 Each entry exposes the value, exact one-sided derivatives in the forecast
-argument y, and conservative property flags that gate which solver and
-regression code paths may be used:
+argument y, and conservative property flags:
 
 - ``positively_homogeneous``: f(lam * x) = lam * f(x) for lam >= 0.
 - ``smooth_strictly_convex``: y -> S(x, y) is differentiable with strictly
   increasing derivative (uniqueness of the minimizer follows).
-- ``derivative_convex``: f' is a convex function (gates convexity of the
-  induced risk measure).
+- ``derivative_convex``: f' is a convex function (convexity of the
+  induced risk measure follows).
+
+Only ``smooth_strictly_convex`` selects code: it gives `solve` its strict
+search, which stops at the one minimizer. The other two flags describe
+the score; every regression, portfolio and hedge accepts every score.
 
 Derivatives are closed form per piece; no numerical differentiation here,
 so first-order-condition checks at kinks are exact.

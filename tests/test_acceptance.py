@@ -260,7 +260,7 @@ def test_criterion_6_regression(capsys):
         tight = max(tight, abs(result.cd - (1.0 - ssr / sst)))
     assert tight <= 1e-6, f"normal equations / CD off by {tight}"
 
-    # relaxed pinball vs pair enumeration, tol 1e-6
+    # el/pinball vs pair enumeration, tol 1e-6
     s_pin = ScoreFunction.pinball(0.35)
     for _ in range(10):
         x = rng.normal(0, 1, 4)

@@ -154,27 +154,34 @@ class TestHedge:
         )
 
     def test_scale_equivariance_homogeneous_score(self, rng):
+        # positive homogeneity holds for every coherent measure
         s = ScoreFunction.pinball(0.3)
         x = rng.normal(0, 1, 10)
         y = rng.normal(0, 1, 10)
         Y = uvar(y)
         instruments = [Y.with_values(x)]
         lam = 2.5
-        base = optimal_hedge(EL, s, Y, instruments, tol=1e-9)
-        scaled = optimal_hedge(EL, s, Y.with_values(lam * y), instruments, tol=1e-9)
-        assert scaled.mu == pytest.approx(lam * base.mu, abs=1e-5)
-        np.testing.assert_allclose(scaled.w, lam * base.w, atol=1e-5)
-        assert scaled.residual_deviation == pytest.approx(
-            lam * base.residual_deviation, abs=1e-5
-        )
+        for rho in (EL, CoherentRiskMeasure.es(0.5), CoherentRiskMeasure.ml()):
+            base = optimal_hedge(rho, s, Y, instruments, tol=1e-9)
+            scaled = optimal_hedge(rho, s, Y.with_values(lam * y), instruments, tol=1e-9)
+            assert scaled.mu == pytest.approx(lam * base.mu, abs=1e-5)
+            np.testing.assert_allclose(scaled.w, lam * base.w, atol=1e-5)
+            assert scaled.residual_deviation == pytest.approx(
+                lam * base.residual_deviation, abs=1e-5
+            )
 
     def test_more_instruments_never_hurt(self, rng):
-        for rho in (EL, CoherentRiskMeasure.es(0.5)):
+        for rho, s in (
+            (EL, SQ),
+            (CoherentRiskMeasure.es(0.5), SQ),
+            (CoherentRiskMeasure.es(0.5), ScoreFunction.pinball(0.3)),
+            (CoherentRiskMeasure.ml(), ScoreFunction.absolute()),
+        ):
             x1 = rng.normal(0, 1, 18)
             x2 = rng.normal(0, 1, 18)
             Y = uvar(rng.normal(0, 1, 18) + x1 - 0.5 * x2)
-            one = optimal_hedge(rho, SQ, Y, [Y.with_values(x1)], tol=1e-9)
+            one = optimal_hedge(rho, s, Y, [Y.with_values(x1)], tol=1e-9)
             two = optimal_hedge(
-                rho, SQ, Y, [Y.with_values(x1), Y.with_values(x2)], tol=1e-9
+                rho, s, Y, [Y.with_values(x1), Y.with_values(x2)], tol=1e-9
             )
             assert two.residual_deviation <= one.residual_deviation + 1e-6

@@ -84,6 +84,18 @@ class TestReports:
         assert len(report["w"]) == 2
         assert report["residual_deviation"] >= 0.0
 
+    def test_kinked_score_beyond_expected_loss(self, capsys):
+        # es with pinball: the two portfolio routes may return different
+        # optimal weights on a flat optimum, so only their deviations agree
+        pair = ["--risk", "es:0.2", "--score", "pinball:0.3"]
+        code, out, _ = run_cli(["portfolio", str(DATA / "assets.csv"), *pair], capsys)
+        assert code == 0
+        assert json.loads(out)["deviation_discrepancy"] <= 1e-8
+        for command, field in (("regress", "objective"), ("hedge", "residual_deviation")):
+            code, out, _ = run_cli([command, str(DATA / "regression.csv"), "--target", "y", *pair], capsys)
+            assert code == 0
+            assert json.loads(out)[field] >= 0.0
+
     def test_json_escapes_column_names(self, capsys, tmp_path):
         data = tmp_path / "quoted.csv"
         data.write_text('"x""y"\n1\n2\n3\n')

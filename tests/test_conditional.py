@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,6 @@ from scorerisk import (
     DomainError,
     ScoreFunction,
     SingularDesignError,
-    UnsupportedScoreError,
     cd_metric,
     conditional_risk,
     conditional_risk_row,
@@ -149,12 +149,15 @@ class TestStrictMode:
         assert abs(result.objective - best) <= 1e-6 * (1.0 + best)
 
     def test_mu_equals_negated_residual_risk(self, rng):
-        for rho in (EL, CoherentRiskMeasure.es(0.4), CoherentRiskMeasure.ml()):
+        for s, rho in product(
+            (SQ, ScoreFunction.pinball(0.3)),
+            (EL, CoherentRiskMeasure.es(0.4), CoherentRiskMeasure.ml()),
+        ):
             Y, X, A, y, p = random_design(rng, m=20, n=2)
-            result = fit(rho, SQ, Y, X, tol=1e-9)
+            result = fit(rho, s, Y, X, tol=1e-9)
             residual = Y.with_values(y - A @ result.betas)
             assert result.mu_star == pytest.approx(
-                -solve(rho, SQ, residual, tol=1e-9).r_value, abs=1e-6
+                -solve(rho, s, residual, tol=1e-9).r_value, abs=1e-6
             )
 
     def test_predict_and_rows(self):
@@ -166,6 +169,20 @@ class TestStrictMode:
         np.testing.assert_allclose(result.predict(X1.values[:, None]), Y.values, atol=1e-7)
         with pytest.raises(DimensionError):
             conditional_risk_row(result, [1.0, 2.0])
+
+    def test_conditional_risk_checks_its_regressors(self, rng):
+        Y, X, A, y, p = random_design(rng, m=12, n=2)
+        result = fit(EL, SQ, Y, X, tol=1e-9)
+        elsewhere = uvar(A[:, 1])
+        assert elsewhere.space != Y.space
+        for regressors, message in (
+            (X[:1], "got 1 regressors, fit has 2 betas"),
+            ([*X, X[0]], "got 3 regressors, fit has 2 betas"),
+            ([], "got 0 regressors, fit has 2 betas"),
+            ([X[0], elsewhere], "one scenario space"),
+        ):
+            with pytest.raises(DimensionError, match=message):
+                conditional_risk(result, regressors)
 
     def test_collinear_design_rejected(self, rng):
         X1 = uvar(rng.normal(0, 1, 10))
@@ -192,11 +209,7 @@ class TestStrictMode:
 
 
 class TestRelaxedMode:
-    def test_non_smooth_requires_expected_loss(self, rng):
-        Y = uvar(rng.normal(0, 1, 8))
-        X = [Y.with_values(rng.normal(0, 1, 8))]
-        with pytest.raises(UnsupportedScoreError):
-            fit(CoherentRiskMeasure.es(0.5), ScoreFunction.pinball(0.4), Y, X, tol=1e-8)
+    """Expected loss with the pinball family: quantile regression."""
 
     def test_pinball_matches_pair_enumeration(self, rng):
         s_alpha = 0.35
@@ -256,6 +269,83 @@ class TestRelaxedMode:
         assert result.mu_star == pytest.approx(1.0, abs=1e-7)
         assert result.betas[0] == pytest.approx(-2.0, abs=1e-7)
         assert result.objective <= 1e-10
+
+
+def homogeneous_slopes(s):
+    """(a, b) with f(x) = max(a x, -b x) for a positively homogeneous,
+    piecewise linear score f."""
+    return float(s.f(np.array([1.0]))[0]), float(s.f(np.array([-1.0]))[0])
+
+
+def kinked_design(rng, m, d):
+    A = rng.standard_normal((m, d))
+    y = 1.0 + A @ np.arange(1.0, d + 1.0) + rng.standard_t(5, m)
+    Y = wvar(y, rng.dirichlet(np.ones(m)))
+    return Y, [Y.with_values(a) for a in A.T], np.column_stack([np.ones(m), A]), y
+
+
+class TestEveryPair:
+    """Kinked scores under measures other than expected loss: linear
+    program oracles where the objective is polyhedral, certified gaps
+    elsewhere."""
+
+    def test_non_smooth_fits_beyond_expected_loss(self, rng):
+        Y = uvar(rng.normal(0, 1, 8))
+        X = [Y.with_values(rng.normal(0, 1, 8))]
+        result = fit(CoherentRiskMeasure.es(0.5), ScoreFunction.pinball(0.4), Y, X, tol=1e-8)
+        assert np.isfinite(result.objective)
+        assert np.isfinite(result.foc_residual)
+
+    def test_expected_shortfall_fit_is_the_rockafellar_uryasev_lp(self):
+        # es:alpha of -f(r) is min_t t + E[(f(r) - t)+] / alpha, a linear
+        # program in (theta, t, z) with z_i >= c (y_i - B_i theta) - t for
+        # both slopes c of f and z >= 0
+        rng = np.random.default_rng([0, 11, 0])
+        for alpha, s in ((0.2, ScoreFunction.pinball(0.3)), (0.1, ScoreFunction.absolute())):
+            for _ in range(2):
+                Y, X, B, y = kinked_design(rng, 300, 3)
+                result = fit(CoherentRiskMeasure.es(alpha), s, Y, X)
+                a, b = homogeneous_slopes(s)
+                block = [np.column_stack([-c * B, -np.ones(300)]) for c in (a, -b)]
+                lp = linprog(
+                    np.r_[np.zeros(4), 1.0, Y.space.p / alpha],
+                    A_ub=np.hstack([np.vstack(block), np.vstack([-np.eye(300)] * 2)]),
+                    b_ub=np.r_[-a * y, b * y],
+                    bounds=[(None, None)] * 5 + [(0.0, None)] * 300,
+                    method="highs",
+                )
+                assert lp.success
+                assert abs(result.objective - lp.fun) <= 1e-9 * (1.0 + lp.fun)
+
+    def test_max_loss_pinball_fit_is_the_minimax_lp(self):
+        # ml of -f(r) is max_i f(r_i): min t with t >= c (y_i - B_i theta)
+        rng = np.random.default_rng([0, 12, 0])
+        s = ScoreFunction.pinball(0.3)
+        a, b = homogeneous_slopes(s)
+        for _ in range(3):
+            Y, X, B, y = kinked_design(rng, 300, 2)
+            result = fit(CoherentRiskMeasure.ml(), s, Y, X)
+            lp = linprog(
+                np.r_[np.zeros(3), 1.0],
+                A_ub=np.vstack([np.column_stack([-c * B, -np.ones(300)]) for c in (a, -b)]),
+                b_ub=np.r_[-a * y, b * y],
+                bounds=[(None, None)] * 4,
+                method="highs",
+            )
+            assert lp.success
+            assert abs(result.objective - lp.fun) <= 1e-9 * (1.0 + lp.fun)
+
+    def test_every_pair_certifies_its_gap(self):
+        # the five measures with every kinked or flat score; msd and evar
+        # have no linear program to check against
+        Y, X, _, _ = kinked_design(np.random.default_rng([0, 13, 0]), 100, 2)
+        for rho, s in product(
+            ("el", "es:0.2", "evar:0.2", "msd:0.5", "ml"),
+            ("pinball:0.3", "absolute", "cost:0.2", "huber:0.5", "barron:1"),
+        ):
+            result = fit(CoherentRiskMeasure.parse(rho), ScoreFunction.parse(s), Y, X)
+            assert np.isfinite(result.objective)
+            assert 0.0 <= result.foc_residual <= 1e-9 * (1.0 + result.objective), (rho, s)
 
 
 class TestEquivariance:
