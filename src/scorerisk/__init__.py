@@ -14,7 +14,6 @@ from .applications import (
 )
 from .conditional import RegressionFit, cd_metric, conditional_risk, conditional_risk_row, fit
 from .errors import (
-    CapabilityError,
     ContractError,
     DimensionError,
     DomainError,
@@ -40,7 +39,6 @@ from .spaces import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CapabilityError",
     "CoherentRiskMeasure",
     "ContractError",
     "DimensionError",

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import convexnd, solver
 from .errors import DimensionError, DomainError, SingularDesignError
-from .risk import CoherentRiskMeasure, evaluate_batch, payoff_gradient
+from .risk import CoherentRiskMeasure, payoff_gradient
 from .scores import ScoreFunction
 from .spaces import ScenarioVariable
 
@@ -68,8 +68,8 @@ def _check_design(B: np.ndarray, p: np.ndarray) -> None:
 
 def fit(rho: CoherentRiskMeasure, s: ScoreFunction, Y: ScenarioVariable,
         X: list[ScenarioVariable], tol: float = 1e-8) -> RegressionFit:
-    if not tol > 0.0:
-        raise DomainError(f"tol must be > 0, got {tol!r}")
+    if not 0.0 < tol < np.inf:
+        raise DomainError(f"tol must be > 0 and finite, got {tol!r}")
     A = _design_matrix(Y, X)
     p = Y.space.p
     y = Y.values
@@ -116,16 +116,17 @@ def fit(rho: CoherentRiskMeasure, s: ScoreFunction, Y: ScenarioVariable,
 def _affine_objective(rho: CoherentRiskMeasure, s: ScoreFunction, c: np.ndarray,
                       B: np.ndarray, p: np.ndarray):
     """F(theta) = (rho(-f(r)), B^T (grad_rho(-f(r)) * f'(r))) with affine
-    residual r = c - B theta: the value and a subgradient from one r and
-    one f(r). rho is monotone and f convex, so any selection of f' gives
+    residual r = c - B theta: both from one r, one f(r) and one payoff
+    gradient, whose product with the payoff is rho's value (Euler's
+    identity). rho is monotone and f convex, so any selection of f' gives
     a subgradient; the right derivative serves at kinks.
     """
 
     def F(theta: np.ndarray) -> tuple[float, np.ndarray]:
         r = c - B @ theta
         payoff = -s.f(r)
-        value = float(evaluate_batch(rho, payoff[None, :], p)[0])
-        return value, B.T @ (payoff_gradient(rho, payoff, p) * s.fprime_right(r))
+        grad = payoff_gradient(rho, payoff, p)
+        return float(np.dot(grad, payoff)), B.T @ (grad * s.fprime_right(r))
 
     return F
 

@@ -17,10 +17,6 @@ class ValidationError(ScoreriskError, ValueError):
     """Constructor input violates a type invariant."""
 
 
-class CapabilityError(ScoreriskError, ValueError):
-    """The requested operation is not supported for this object kind."""
-
-
 class SingularDesignError(ScoreriskError, ValueError):
     """Regression design is exactly or numerically collinear."""
 

@@ -5,8 +5,10 @@ at risk (evar), mean plus semi-deviation (msd), and maximum loss (ml).
 Each evaluates exactly on the finite space through one kernel per
 measure: sort-free sums for el, msd and ml, for es a lower tail selected
 in O(n) and sorted alone, and an exact expectile root from one sort for
-evar. el/es/ml additionally expose a worst-case reweighting attaining the
-dual representation rho(Z) = max_q E_q[-Z].
+evar. Each also gives a payoff subgradient: rho is positively
+homogeneous, so rho(Z) = grad . Z, and the negated subgradient is a
+worst-case reweighting attaining the dual representation
+rho(Z) = max_q E_q[-Z].
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapabilityError, DomainError, ValidationError
+from .errors import DomainError, ValidationError
 from .spaces import MeasureWeights, ScenarioVariable
 
 _SPEC_HELP = "el | es:<alpha> | evar:<alpha> | msd:<beta> | ml"
@@ -84,10 +86,6 @@ class CoherentRiskMeasure:
         if self.param is None:
             return self.kind
         return f"{self.kind}:{self.param:g}"
-
-    @property
-    def has_dual_maximizer(self) -> bool:
-        return self.kind in ("el", "es", "ml")
 
 
 def _sorted_tail(Z: np.ndarray, p: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
@@ -177,9 +175,13 @@ def evaluate_batch(rho: CoherentRiskMeasure, Z: np.ndarray, p: np.ndarray) -> np
 def payoff_gradient(rho: CoherentRiskMeasure, z: np.ndarray, p: np.ndarray) -> np.ndarray:
     """A subgradient of Z -> rho(Z) at the payoff vector z.
 
-    Entries sum to -1 (translation invariance); for el/es/ml this is the
-    negated worst-case reweighting. Used for exact first-order sign tests
-    where difference quotients would lose precision to cancellation.
+    Its negation is a worst-case reweighting q, so its entries are <= 0
+    and sum to -1 (translation invariance), and rho(z) = grad . z (Euler's
+    identity for a positively homogeneous rho): the solver and the fits
+    take both the value and the exact first-order slopes from this one
+    call, where difference quotients would lose precision to
+    cancellation. For evar, outcomes tied with the expectile weigh as
+    those above it, which keeps q in the dual set.
     """
     kind, a = rho.kind, rho.param
     if kind == "el":
@@ -202,22 +204,18 @@ def payoff_gradient(rho: CoherentRiskMeasure, z: np.ndarray, p: np.ndarray) -> n
         return -p + a * p * (float(np.dot(p, u)) - u) / s
     if kind == "evar":
         e = _expectile_root(z[None, :], p, a)[0]
-        weight = np.where(z > e, a, 0.0) + np.where(z < e, 1.0 - a, 0.0)
-        denom = float(np.dot(p, weight))
-        if denom == 0.0:
-            return -p
-        return -p * weight / denom
+        weight = np.where(z < e, 1.0 - a, a)
+        return -p * weight / float(np.dot(p, weight))
     raise AssertionError(f"unreachable kind {kind!r}")
 
 
 def dual_maximizer(rho: CoherentRiskMeasure, Z: ScenarioVariable) -> MeasureWeights:
-    """A reweighting q in the dual set with E_q[-Z] = evaluate(rho, Z).
-
-    Supported for el (q = p), es (lower-tail density 1/alpha with a
-    fractional boundary atom), and ml (point mass on the lowest-index
-    minimum), where q is the negated payoff gradient. evar and msd do not
-    expose a tractable maximizer here.
+    """A reweighting q in the dual set with E_q[-Z] = evaluate(rho, Z):
+    the negated payoff gradient. For el q = p; for es the lower-tail
+    density 1/alpha with a fractional boundary atom; for ml a point mass
+    on the lowest-index minimum; for evar p reweighted by 1 - alpha below
+    the expectile and alpha elsewhere; for msd p (1 + beta (u - E u) / s),
+    with u the shortfall below the mean and s its root mean square (p
+    where s is 0).
     """
-    if not rho.has_dual_maximizer:
-        raise CapabilityError(f"dual_maximizer is unsupported for {rho.spec_string()!r}")
     return MeasureWeights(-payoff_gradient(rho, Z.values, Z.space.p))

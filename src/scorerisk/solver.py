@@ -9,8 +9,10 @@ an exact kink for pinball-type scores under el, es and ml, whose kinks
 are listed in O(n) memory and binary-searched; elsewhere a zero slope,
 two adjacent floats, or a few steps past `tol` where the slope jumps at
 an unlisted kink (an es tail change under huber, say). So `tol` caps the
-work, and `tol_achieved` is the widest final bracket. A grid-scan oracle
-checks the same quantities.
+work, and `tol_achieved` is the widest final bracket. The same gradient
+gives the value as grad . payoff (rho is positively homogeneous), so the
+deviation costs no kernel call at a point the search visited. A grid-scan
+oracle, evaluating rho directly, checks the same quantities.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ class SolveResult:
 
 
 class _Objective:
-    """y -> rho(-f(X - y)) with an evaluation counter."""
+    """y -> rho(-f(X - y)) with an evaluation counter and the values `slopes` saw."""
 
     def __init__(self, rho: CoherentRiskMeasure, s: ScoreFunction, X: ScenarioVariable):
         self.rho = rho
@@ -50,18 +52,17 @@ class _Objective:
         self.x = X.values
         self.p = X.space.p
         self.calls = 0
-
-    def __call__(self, y: float) -> float:
-        self.calls += 1
-        payoff = -self.s.f(self.x - y)
-        return float(evaluate_batch(self.rho, payoff[None, :], self.p)[0])
+        self.values: dict[float, float] = {}
 
     def slopes(self, y: float) -> tuple[float, float]:
         """Left and right slopes grad_rho(payoff) . f'(X - y), with f's right and left
         derivatives as X - y falls; ContractError where left > right beyond rounding."""
         self.calls += 1
         z = self.x - y
-        grad = payoff_gradient(self.rho, -self.s.f(z), self.p)
+        payoff = -self.s.f(z)
+        grad = payoff_gradient(self.rho, payoff, self.p)
+        self.values[y] = float(np.dot(grad, payoff))
+        del payoff  # one more live row made glibc trim the heap and re-fault it each call
         fp = self.s.fprime_right(z)
         left = right = float(np.dot(grad, fp))
         if not self.s.differentiable:
@@ -113,8 +114,8 @@ def _kink_lister(rho: CoherentRiskMeasure, s: ScoreFunction, X: ScenarioVariable
 
 def solve(rho: CoherentRiskMeasure, s: ScoreFunction, X: ScenarioVariable,
           tol: float = 1e-8) -> SolveResult:
-    if not tol > 0.0:
-        raise DomainError(f"tol must be > 0, got {tol!r}")
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tol must be > 0 and finite, got {tol!r}")
     lo0, hi0 = ess_bounds(X)
     if lo0 == hi0:
         # constant position: the score is zero at y = c and positive elsewhere
@@ -133,8 +134,11 @@ def solve(rho: CoherentRiskMeasure, s: ScoreFunction, X: ScenarioVariable,
     # endpoints stay inside [essinf, esssup]
     left = min(max(left, lo0), hi0)
     right = min(max(right, lo0), hi0)
-    g_min = g(left) if left == right else min(g(left), g(right))
-    return SolveResult(g_min, left, right, -left, width, g.calls)
+    # g is constant on [left, right], where the slopes are >= 0 and <= 0; left may
+    # be unevaluated: an exact kink, a clipped end or a collapsed crossing
+    if left not in g.values:
+        g.slopes(left)
+    return SolveResult(g.values[left], left, right, -left, width, g.calls)
 
 
 def brute_force_oracle(rho: CoherentRiskMeasure, s: ScoreFunction,
@@ -146,8 +150,8 @@ def brute_force_oracle(rho: CoherentRiskMeasure, s: ScoreFunction,
     value by ternary shrinking around the grid argmin so the value
     comparison is not limited by grid resolution.
     """
-    if grid_step <= 0.0:
-        raise DomainError(f"grid_step must be > 0, got {grid_step!r}")
+    if not 0.0 < grid_step < math.inf:
+        raise DomainError(f"grid_step must be > 0 and finite, got {grid_step!r}")
     lo0, hi0 = ess_bounds(X)
     if lo0 == hi0:
         return SolveResult(0.0, lo0, lo0, -lo0, 0.0, 1)
@@ -170,7 +174,8 @@ def brute_force_oracle(rho: CoherentRiskMeasure, s: ScoreFunction,
 
     lo_ref = max(a, ys[k] - grid_step)
     hi_ref = min(b, ys[k] + grid_step)
-    g_min = min(g_grid_min, convex1d.min_value(g, lo_ref, hi_ref, 1e-12 * (1.0 + rng)))
+    g_min = min(g_grid_min, convex1d.min_value(lambda y: float(g.grid(np.array([y]))[0]),
+                                               lo_ref, hi_ref, 1e-12 * (1.0 + rng)))
 
     return SolveResult(g_min, left, right, -left, grid_step, g.calls)
 

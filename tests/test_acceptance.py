@@ -179,9 +179,8 @@ def test_criterion_4_axiom_suites(capsys):
             tight, risk_value(rho, Z.with_values(z + U.values)) - v - risk_value(rho, U)
         )
         tight = max(tight, risk_value(EL, Z) - v)  # loadedness
-        if rho.has_dual_maximizer:
-            q = dual_maximizer(rho, Z)
-            tight = max(tight, abs(expectation(Z.with_values(-z), q) - v))
+        q = dual_maximizer(rho, Z)
+        tight = max(tight, abs(expectation(Z.with_values(-z), q) - v))
     assert tight <= 1e-10, f"risk-measure axioms off by {tight}"
 
     # R and D measure properties through solve, tol 1e-6

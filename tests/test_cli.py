@@ -204,6 +204,20 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: tol must be > 0")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["solve", "quartet.csv", "--tol", "inf"], "tol must be > 0 and finite"),
+        (["regress", "regression.csv", "--target", "y", "--tol", "inf"], "tol must be > 0 and finite"),
+        (["oracle-check", "quartet.csv", "--grid-step", "inf"], "grid_step must be > 0 and finite"),
+        (["oracle-check", "quartet.csv", "--grid-step", "nan"], "grid_step must be > 0 and finite"),
+    ], ids=["solve-tol", "regress-tol", "oracle-grid-step-inf", "oracle-grid-step-nan"])
+    def test_non_finite_tolerance(self, argv, message, capsys):
+        command, data, *rest = argv
+        code, out, err = run_cli([command, str(DATA / data), *rest], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {message}")
+        assert err.count("\n") == 1
+
     def test_contract_violation(self, capsys, monkeypatch):
         monkeypatch.setattr(ScoreFunction, "parse", staticmethod(lambda text: swapped_pinball(0.3)))
         code, out, err = run_cli(

@@ -50,7 +50,7 @@ def random_design(rng, m=None, n=None):
     return Y, X, A, y, p
 
 
-class TestStrictMode:
+class TestFit:
     def test_matches_normal_equations(self, rng):
         for _ in range(8):
             Y, X, A, y, p = random_design(rng)
@@ -208,7 +208,7 @@ class TestStrictMode:
             fit(EL, SQ, Y, [other], tol=1e-8)
 
 
-class TestRelaxedMode:
+class TestQuantileRegression:
     """Expected loss with the pinball family: quantile regression."""
 
     def test_pinball_matches_pair_enumeration(self, rng):

@@ -15,6 +15,7 @@ from scorerisk import (
     acceptability_index,
     brute_force_oracle,
     convex1d,
+    fit,
     left_quantile,
     minimax_check,
     risk_value,
@@ -143,9 +144,10 @@ class TestSolveResultInvariants:
         assert res.evaluations < 80
         assert 0.0 < res.tol_achieved <= 1e-8
 
-    @pytest.mark.parametrize(
-        "risk, score", [("el", "pinball:0.1"), ("es:0.1", "barron:1"), ("es:0.5", "absolute")]
-    )
+    @pytest.mark.parametrize("risk, score", [
+        ("el", "pinball:0.1"), ("es:0.1", "barron:1"), ("es:0.5", "absolute"),
+        ("evar:0.3", "cost:0.2"), ("msd:0.5", "pinball:0.3"),
+    ])
     def test_no_payoff_is_evaluated_twice(self, risk, score, monkeypatch):
         # both ends come from one search that keeps every point it evaluates
         payoffs = []
@@ -165,6 +167,23 @@ class TestSolveResultInvariants:
         res = solve(CoherentRiskMeasure.parse(risk), ScoreFunction.parse(score), X)
         assert len(payoffs) == res.evaluations
         assert len(set(payoffs)) == len(payoffs)
+
+    def test_values_come_from_the_payoff_gradient(self, monkeypatch):
+        # solve and fit take rho's value from the gradient they already
+        # hold; only the grid oracle, their independent check, evaluates it
+        def refuse(rho, Z, p):
+            raise AssertionError("evaluate_batch called")
+
+        for module in ("risk", "solver", "conditional"):
+            monkeypatch.setattr(f"scorerisk.{module}.evaluate_batch", refuse, raising=False)
+        rng = np.random.default_rng(3)
+        X, Y = uvar(rng.normal(0, 1, 200)), uvar(rng.normal(0, 1, 200))
+        for rho in RISK_CATALOG:
+            for s in (ScoreFunction.squared(), ScoreFunction.pinball(0.3), ScoreFunction.huber(0.8)):
+                solve(rho, s, X)
+                fit(rho, s, Y, [X], tol=1e-6)
+        with pytest.raises(AssertionError, match="evaluate_batch called"):
+            brute_force_oracle(EL, ScoreFunction.squared(), X, grid_step=1e-2)
 
     @pytest.mark.parametrize("risk, score, most, left", [
         ("es:0.1", "barron:1", 45, -0.025832797916994124),
@@ -194,13 +213,15 @@ class TestSolveResultInvariants:
 
     def test_swapped_one_sided_derivatives_break_the_contract(self):
         # the msd search evaluates the slopes at the outcome 2, where the
-        # swapped left slope exceeds the right one
-        with pytest.raises(ContractError) as raised:
-            solve(CoherentRiskMeasure.msd(0.5), swapped_pinball(0.3), uvar([1, 2, 3, 4]))
-        message = str(raised.value)
-        assert message.startswith("at y = 2.0 the left slope ")
-        left, right = (float(part.split()[0]) for part in message.split(" slope ")[1:])
-        assert left > right
+        # swapped left slope exceeds the right one; the el search returns
+        # the kink 2 unevaluated, and its value takes the slopes there
+        for rho in (CoherentRiskMeasure.msd(0.5), EL):
+            with pytest.raises(ContractError) as raised:
+                solve(rho, swapped_pinball(0.3), uvar([1, 2, 3, 4]))
+            message = str(raised.value)
+            assert message.startswith("at y = 2.0 the left slope ")
+            left, right = (float(part.split()[0]) for part in message.split(" slope ")[1:])
+            assert left > right
 
     @pytest.mark.parametrize(
         "rho", [EL, CoherentRiskMeasure.es(0.1), CoherentRiskMeasure.ml()], ids=["el", "es", "ml"]
