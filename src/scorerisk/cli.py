@@ -48,8 +48,6 @@ def render_json(obj) -> str:
         return "[" + ",".join(render_json(v) for v in obj) + "]"
     if isinstance(obj, str):
         return json.dumps(obj, ensure_ascii=False)
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
     return fmt_num(obj)
 
 
@@ -92,13 +90,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, help_text in commands.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("input", help="scenario CSV (optional 'prob' column)")
-        cmd.add_argument("--risk", default="el", help="risk spec: el | es:a | evar:a | msd:b | ml")
-        cmd.add_argument(
-            "--score",
-            default="squared",
-            help="score spec: squared | pinball:a | absolute | huber:b | "
-            "linex:g | expectile:a | barron:s | cost:g",
-        )
+        cmd.add_argument("--risk", default="el", help=f"risk: {CoherentRiskMeasure.GRAMMAR}")
+        cmd.add_argument("--score", default="squared", help=f"score: {ScoreFunction.GRAMMAR}")
         cmd.add_argument("--tol", type=float, default=1e-8)
         cmd.add_argument("--target", default=None, help="target column name")
         cmd.add_argument("--regressors", default=None, help="comma-separated column names")

@@ -88,12 +88,13 @@ def fit(rho: CoherentRiskMeasure, s: ScoreFunction, Y: ScenarioVariable,
     result = convexnd.minimize_convex(F, theta0, steps, tol)
     betas = result.x[1:].copy()
     # pin mu at the leftmost minimizer of the residual problem so the
-    # identity mu* = -R(Y - X beta*) holds even on flat optima
+    # identity mu* = -R(Y - X beta*) holds even on flat optima; its minimum
+    # is the objective at (mu*, beta*)
     residual = ScenarioVariable(Y.space, y - A @ betas)
-    mu_star = solver.solve(rho, s, residual, tol).argmin_lo
+    pinned = solver.solve(rho, s, residual, tol)
+    mu_star = pinned.argmin_lo
     betas.setflags(write=False)
-    theta_star = np.concatenate([[mu_star], betas])
-    objective = min(result.value, F(theta_star)[0])
+    objective = min(result.value, pinned.d_value)
 
     base = unconditional.d_value
     if objective <= max(1e-12, 1e-9 * abs(base)):

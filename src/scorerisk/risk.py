@@ -14,20 +14,17 @@ rho(Z) = max_q E_q[-Z].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError
 from .spaces import MeasureWeights, ScenarioVariable
+from .spec import Spec
 
-_SPEC_HELP = "el | es:<alpha> | evar:<alpha> | msd:<beta> | ml"
 
-
-@dataclass(frozen=True)
-class CoherentRiskMeasure:
-    kind: str
-    param: float | None
+class CoherentRiskMeasure(Spec):
+    GRAMMAR = "el | es:<alpha> | evar:<alpha> | msd:<beta> | ml"
+    NOUN = "risk measure"
 
     @staticmethod
     def el() -> "CoherentRiskMeasure":
@@ -55,37 +52,6 @@ class CoherentRiskMeasure:
     @staticmethod
     def ml() -> "CoherentRiskMeasure":
         return CoherentRiskMeasure("ml", None)
-
-    @staticmethod
-    def parse(text: str) -> "CoherentRiskMeasure":
-        parts = text.strip().lower().split(":")
-        kind = parts[0]
-        makers = {
-            "el": CoherentRiskMeasure.el,
-            "es": CoherentRiskMeasure.es,
-            "evar": CoherentRiskMeasure.evar,
-            "msd": CoherentRiskMeasure.msd,
-            "ml": CoherentRiskMeasure.ml,
-        }
-        if kind not in makers:
-            raise ValidationError(f"unknown risk measure {text!r}; expected {_SPEC_HELP}")
-        takes_param = kind in ("es", "evar", "msd")
-        if takes_param:
-            if len(parts) != 2:
-                raise ValidationError(f"risk {kind!r} needs one parameter: {_SPEC_HELP}")
-            try:
-                param = float(parts[1])
-            except ValueError:
-                raise ValidationError(f"bad risk parameter in {text!r}") from None
-            return makers[kind](param)
-        if len(parts) != 1:
-            raise ValidationError(f"risk {kind!r} takes no parameter")
-        return makers[kind]()
-
-    def spec_string(self) -> str:
-        if self.param is None:
-            return self.kind
-        return f"{self.kind}:{self.param:g}"
 
 
 def _sorted_tail(Z: np.ndarray, p: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:

@@ -1,7 +1,8 @@
 """Catalog of scoring functions S(x, y) = f(x - y).
 
-Each entry exposes the value, exact one-sided derivatives in the forecast
-argument y, and conservative property flags:
+A score is its kind and parameter. Each exposes the value, exact
+one-sided derivatives in the forecast argument y, and conservative
+property flags, derived from (kind, param) rather than stored:
 
 - ``positively_homogeneous``: f(lam * x) = lam * f(x) for lam >= 0.
 - ``smooth_strictly_convex``: y -> S(x, y) is differentiable with strictly
@@ -20,122 +21,93 @@ so first-order-condition checks at kinks are exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError
+from .spec import Spec
 
-_SPEC_HELP = (
-    "squared | pinball:<alpha> | absolute | huber:<beta> | linex:<gamma> | "
-    "expectile:<alpha> | barron:<shape> | cost:<G>"
-)
+_KINKED = ("pinball", "absolute", "cost")  # f is kinked at 0 and linear on each side
 
 
-@dataclass(frozen=True)
-class ScoreFunction:
+class ScoreFunction(Spec):
     """One scoring function f with S(x, y) = f(x - y)."""
 
-    kind: str
-    param: float | None
-    positively_homogeneous: bool
-    smooth_strictly_convex: bool
-    derivative_convex: bool
+    GRAMMAR = ("squared | pinball:<alpha> | absolute | huber:<beta> | linex:<gamma> | "
+               "expectile:<alpha> | barron:<shape> | cost:<G>")
+    NOUN = "score"
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def squared() -> "ScoreFunction":
-        return ScoreFunction("squared", None, False, True, True)
+        return ScoreFunction("squared", None)
 
     @staticmethod
     def pinball(alpha: float) -> "ScoreFunction":
         if not (0.0 < alpha < 1.0):
             raise DomainError(f"pinball alpha must be in (0,1), got {alpha!r}")
-        return ScoreFunction("pinball", float(alpha), True, False, False)
+        return ScoreFunction("pinball", float(alpha))
 
     @staticmethod
     def absolute() -> "ScoreFunction":
-        return ScoreFunction("absolute", None, True, False, False)
+        return ScoreFunction("absolute", None)
 
     @staticmethod
     def huber(beta: float) -> "ScoreFunction":
-        if not beta > 0.0:
-            raise DomainError(f"huber beta must be > 0, got {beta!r}")
-        # smooth flag deliberately false: the derivative is constant outside
-        # [-beta, beta], so strict-convexity arguments do not apply
-        return ScoreFunction("huber", float(beta), False, False, False)
+        if not 0.0 < beta < math.inf:
+            raise DomainError(f"huber beta must be > 0 and finite, got {beta!r}")
+        return ScoreFunction("huber", float(beta))
 
     @staticmethod
     def linex(gamma: float) -> "ScoreFunction":
-        if not gamma > 0.0:
-            raise DomainError(f"linex gamma must be > 0, got {gamma!r}")
-        return ScoreFunction("linex", float(gamma), False, True, True)
+        if not 0.0 < gamma < math.inf:
+            raise DomainError(f"linex gamma must be > 0 and finite, got {gamma!r}")
+        return ScoreFunction("linex", float(gamma))
 
     @staticmethod
     def expectile(alpha: float) -> "ScoreFunction":
         if not (0.0 < alpha < 1.0):
             raise DomainError(f"expectile alpha must be in (0,1), got {alpha!r}")
-        # f'(x) = 2 alpha x+ - 2 (1-alpha) (-x)+ is piecewise linear with
-        # slopes (2(1-alpha), 2 alpha); convex exactly when alpha >= 0.5
-        return ScoreFunction("expectile", float(alpha), False, True, alpha >= 0.5)
+        return ScoreFunction("expectile", float(alpha))
 
     @staticmethod
     def barron(shape: float) -> "ScoreFunction":
-        if not shape >= 1.0:
-            raise DomainError(
-                f"barron shape must be >= 1 for convexity, got {shape!r}"
-            )
-        return ScoreFunction("barron", float(shape), False, shape > 1.0, False)
+        if not 1.0 <= shape < math.inf:
+            raise DomainError(f"barron shape must be >= 1 and finite, got {shape!r}")
+        return ScoreFunction("barron", float(shape))
 
     @staticmethod
     def cost(g: float) -> "ScoreFunction":
         if not (0.0 < g < 1.0):
             raise DomainError(f"cost G must be in (0,1), got {g!r}")
-        return ScoreFunction("cost", float(g), True, False, False)
+        return ScoreFunction("cost", float(g))
 
-    @staticmethod
-    def parse(text: str) -> "ScoreFunction":
-        """Build from a CLI/config string, e.g. ``pinball:0.05``."""
-        parts = text.strip().lower().split(":")
-        kind = parts[0]
-        makers = {
-            "squared": ScoreFunction.squared,
-            "pinball": ScoreFunction.pinball,
-            "absolute": ScoreFunction.absolute,
-            "huber": ScoreFunction.huber,
-            "linex": ScoreFunction.linex,
-            "expectile": ScoreFunction.expectile,
-            "barron": ScoreFunction.barron,
-            "cost": ScoreFunction.cost,
-        }
-        if kind not in makers:
-            raise ValidationError(f"unknown score {text!r}; expected {_SPEC_HELP}")
-        maker = makers[kind]
-        takes_param = kind not in ("squared", "absolute")
-        if takes_param:
-            if len(parts) != 2:
-                raise ValidationError(f"score {kind!r} needs one parameter: {_SPEC_HELP}")
-            try:
-                param = float(parts[1])
-            except ValueError:
-                raise ValidationError(f"bad score parameter in {text!r}") from None
-            return maker(param)
-        if len(parts) != 1:
-            raise ValidationError(f"score {kind!r} takes no parameter")
-        return maker()
+    # -- property flags ----------------------------------------------------
 
-    def spec_string(self) -> str:
-        if self.param is None:
-            return self.kind
-        return f"{self.kind}:{self.param:g}"
+    @property
+    def positively_homogeneous(self) -> bool:
+        return self.kind in _KINKED
+
+    @property
+    def smooth_strictly_convex(self) -> bool:
+        # false for huber, whose f' is constant outside [-beta, beta], and
+        # for barron:1, whose curvature vanishes as |x| grows
+        return self.kind in ("squared", "linex", "expectile") or (
+            self.kind == "barron" and self.param > 1.0)
+
+    @property
+    def derivative_convex(self) -> bool:
+        # expectile's f' is piecewise linear with slopes (2(1-alpha), 2 alpha)
+        return self.kind in ("squared", "linex") or (
+            self.kind == "expectile" and self.param >= 0.5)
 
     @property
     def differentiable(self) -> bool:
         """True when f' is continuous (one-sided derivatives agree
         everywhere); independent of strict convexity — huber and the
         barron family are differentiable but flat or linear in places."""
-        return self.kind not in ("pinball", "cost", "absolute")
+        return self.kind not in _KINKED
 
     # -- evaluation --------------------------------------------------------
 

@@ -31,6 +31,7 @@ from .spaces import ScenarioVariable, ess_bounds
 
 _BRACKET_PAD = 0.1  # widen [essinf, esssup] by this fraction of the range
 MAX_GRID_POINTS = 10**6  # brute_force_oracle's grid: 16 MB, one evaluation a point
+_GRID_BLOCK = 2**20  # payoffs the oracle evaluates at once: 8 MB, so O(n) memory
 
 
 @dataclass(frozen=True)
@@ -76,12 +77,13 @@ class _Objective:
                                 "is not convex")
         return tuple(slope if abs(slope) > noise else 0.0 for slope in (left, right))
 
-    def grid(self, ys: np.ndarray, chunk: int = 4096) -> np.ndarray:
+    def grid(self, ys: np.ndarray) -> np.ndarray:
+        rows = max(1, _GRID_BLOCK // self.x.size)
         out = np.empty(ys.size)
-        for start in range(0, ys.size, chunk):
-            block = ys[start : start + chunk]
+        for start in range(0, ys.size, rows):
+            block = ys[start : start + rows]
             payoff = -self.s.f(self.x[None, :] - block[:, None])
-            out[start : start + chunk] = evaluate_batch(self.rho, payoff, self.p)
+            out[start : start + rows] = evaluate_batch(self.rho, payoff, self.p)
         self.calls += ys.size
         return out
 

@@ -30,6 +30,23 @@ def _as_finite_array(values, what: str) -> np.ndarray:
     return arr
 
 
+def _probability_vector(values, what: str, strictly_positive: bool) -> np.ndarray:
+    """Finite entries, positive or nonnegative, summing to 1 within
+    PROB_SUM_TOL; renormalized so sums downstream are exact, and read-only."""
+    arr = _as_finite_array(values, what)
+    if strictly_positive:
+        if np.any(arr <= 0.0):
+            raise ValidationError(f"all {what} must be strictly positive")
+    elif np.any(arr < 0.0):
+        raise ValidationError(f"{what} must be nonnegative")
+    total = float(arr.sum())
+    if abs(total - 1.0) > PROB_SUM_TOL:
+        raise ValidationError(f"{what} must sum to 1 within {PROB_SUM_TOL}, got {total!r}")
+    arr = arr / total
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class FiniteScenarioSpace:
     """Outcome set with strictly positive probabilities summing to 1."""
@@ -37,18 +54,7 @@ class FiniteScenarioSpace:
     p: np.ndarray
 
     def __init__(self, p) -> None:
-        arr = _as_finite_array(p, "probabilities")
-        if np.any(arr <= 0.0):
-            raise ValidationError("all probabilities must be strictly positive")
-        total = float(arr.sum())
-        if abs(total - 1.0) > PROB_SUM_TOL:
-            raise ValidationError(
-                f"probabilities must sum to 1 within {PROB_SUM_TOL}, got {total!r}"
-            )
-        # renormalize sub-tolerance drift so sums downstream are exact
-        arr = arr / total
-        arr.setflags(write=False)
-        object.__setattr__(self, "p", arr)
+        object.__setattr__(self, "p", _probability_vector(p, "probabilities", True))
 
     @property
     def n(self) -> int:
@@ -111,17 +117,7 @@ class MeasureWeights:
     q: np.ndarray
 
     def __init__(self, q) -> None:
-        arr = _as_finite_array(q, "weights")
-        if np.any(arr < 0.0):
-            raise ValidationError("weights must be nonnegative")
-        total = float(arr.sum())
-        if abs(total - 1.0) > PROB_SUM_TOL:
-            raise ValidationError(
-                f"weights must sum to 1 within {PROB_SUM_TOL}, got {total!r}"
-            )
-        arr = arr / total
-        arr.setflags(write=False)
-        object.__setattr__(self, "q", arr)
+        object.__setattr__(self, "q", _probability_vector(q, "weights", False))
 
     @property
     def n(self) -> int:

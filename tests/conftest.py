@@ -36,7 +36,7 @@ class SwappedPinball(ScoreFunction):
 
 
 def swapped_pinball(alpha: float) -> ScoreFunction:
-    return SwappedPinball("pinball", alpha, True, False, False)
+    return SwappedPinball("pinball", alpha)
 
 
 @pytest.fixture

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from scorerisk.cli import EXIT_CONTRACT, run
+from scorerisk.risk import CoherentRiskMeasure
 from scorerisk.scores import ScoreFunction
 
 from conftest import swapped_pinball
@@ -134,12 +135,30 @@ class TestExitCodes:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("score", ["huber:inf", "linex:inf", "barron:inf", "huber:nan"])
+    def test_non_finite_score_parameter(self, score, capsys):
+        code, out, err = run_cli(["solve", str(DATA / "quartet.csv"), "--score", score], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {score.split(':')[0]} ")
+        assert err.count("\n") == 1
+
     def test_missing_column(self, capsys):
         code, _, err = run_cli(
             ["solve", str(DATA / "quartet.csv"), "--target", "zzz"], capsys
         )
         assert code == 1
         assert "zzz" in err
+
+    def test_unknown_regressor(self, capsys):
+        code, out, err = run_cli(
+            ["regress", str(DATA / "regression.csv"), "--target", "y", "--regressors", "x1,nope"],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: columns ['nope'] not in input")
 
     def test_singular_design(self, capsys, tmp_path):
         bad = tmp_path / "collinear.csv"
@@ -227,6 +246,14 @@ class TestExitCodes:
         assert code == EXIT_CONTRACT == 2
         assert out == ""
         assert err.startswith("error: at y = 2.0 the left slope ")
+
+    def test_help_prints_each_grammar(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            run(["solve", "--help"])
+        assert excinfo.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())  # argparse wraps lines
+        assert f"risk: {CoherentRiskMeasure.GRAMMAR}" in text
+        assert f"score: {ScoreFunction.GRAMMAR}" in text
 
     def test_usage_error_unknown_command(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -160,6 +160,15 @@ class TestFit:
                 -solve(rho, s, residual, tol=1e-9).r_value, abs=1e-6
             )
 
+    def test_objective_is_the_residual_deviation(self, rng):
+        for s, rho in product((SQ, ScoreFunction.pinball(0.3)), (EL, CoherentRiskMeasure.es(0.4))):
+            Y, X, A, y, p = random_design(rng, m=20, n=2)
+            result = fit(rho, s, Y, X, tol=1e-9)
+            residual = Y.with_values(y - A @ result.betas)
+            d = solve(rho, s, residual, tol=1e-9).d_value
+            assert result.objective <= d
+            assert result.objective == pytest.approx(d, rel=1e-9, abs=1e-12)
+
     def test_predict_and_rows(self):
         X1 = uvar([0.0, 1.0, 2.0, 3.0])
         Y = X1.with_values(2.0 + 3.0 * X1.values)

@@ -84,6 +84,11 @@ class TestConstruction:
             (CoherentRiskMeasure.evar, 0.0),
             (CoherentRiskMeasure.msd, 1.5),
             (CoherentRiskMeasure.msd, -0.1),
+            (CoherentRiskMeasure.es, float("inf")),
+            (CoherentRiskMeasure.es, float("nan")),
+            (CoherentRiskMeasure.evar, float("nan")),
+            (CoherentRiskMeasure.msd, float("inf")),
+            (CoherentRiskMeasure.msd, float("nan")),
         ],
     )
     def test_domain_checks(self, maker, bad):

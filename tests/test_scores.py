@@ -1,5 +1,7 @@
 """Score catalog: values, one-sided derivatives, flags, and parsing."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -36,10 +38,19 @@ class TestConstruction:
             (ScoreFunction.pinball, 1.0),
             (ScoreFunction.huber, 0.0),
             (ScoreFunction.huber, -1.0),
+            (ScoreFunction.huber, float("inf")),
+            (ScoreFunction.huber, float("nan")),
             (ScoreFunction.linex, 0.0),
+            (ScoreFunction.linex, float("inf")),
+            (ScoreFunction.linex, float("nan")),
             (ScoreFunction.expectile, 1.2),
+            (ScoreFunction.expectile, float("nan")),
             (ScoreFunction.barron, 0.5),
+            (ScoreFunction.barron, float("inf")),
+            (ScoreFunction.barron, float("nan")),
             (ScoreFunction.cost, 1.0),
+            (ScoreFunction.pinball, float("inf")),
+            (ScoreFunction.pinball, float("nan")),
         ],
     )
     def test_domain_checks(self, maker, bad):
@@ -56,6 +67,13 @@ class TestConstruction:
         assert not ScoreFunction.expectile(0.3).derivative_convex
         assert ScoreFunction.barron(1.5).smooth_strictly_convex
         assert not ScoreFunction.barron(1.0).smooth_strictly_convex
+
+    def test_a_score_is_its_kind_and_parameter(self):
+        assert [f.name for f in dataclasses.fields(ScoreFunction)] == ["kind", "param"]
+        assert ScoreFunction("expectile", 0.3) == ScoreFunction.expectile(0.3)
+        assert not ScoreFunction("expectile", 0.3).derivative_convex
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ScoreFunction.squared().param = 1.0
 
     def test_differentiable_property(self):
         assert ScoreFunction.huber(1.0).differentiable

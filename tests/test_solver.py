@@ -268,6 +268,19 @@ class TestOracleAgreement:
         with pytest.raises(DomainError):
             brute_force_oracle(EL, ScoreFunction.squared(), uvar([1e308, -1e308, 0.0]), 1e-4)
 
+    def test_oracle_memory_is_linear(self):
+        X = uvar(np.random.default_rng(3).standard_normal(4000))
+        step = 1.2 * np.ptp(X.values) / 4100
+        tracemalloc.start()
+        try:
+            ref = brute_force_oracle(CoherentRiskMeasure.es(0.1), ScoreFunction.huber(0.5), X, step)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ref.evaluations >= 4096
+        # blocks of 4096 grid points took 516 MiB on this input
+        assert peak < 64 * 2**20
+
     def test_oracle_refuses_a_large_grid_before_allocating(self):
         # 1.2e10 grid points would take 96 GB for the grid alone
         tracemalloc.start()

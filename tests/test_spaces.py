@@ -190,6 +190,12 @@ class TestLoadCsv:
             with pytest.raises(ValidationError):
                 load_csv(io.StringIO(text))
 
+    @pytest.mark.parametrize("text", ["a,b\n1,inf\n2,3\n", 'a,b\n1,"-inf"\n2,3\n'],
+                             ids=["numpy-reader", "csv-module"])
+    def test_non_finite_cell(self, text):
+        with pytest.raises(ValidationError, match="CSV input contains non-finite values"):
+            load_csv(io.StringIO(text))
+
     def test_missing_file(self):
         with pytest.raises(OSError):
             load_csv("/nonexistent/scenarios.csv")
