@@ -37,7 +37,8 @@ def fmt_num(x) -> str:
             x, precision=12, unique=False, fractional=False, trim="-"
         )
         return s.rstrip(".")
-    return np.format_float_scientific(x, precision=11, unique=False, trim="-")
+    s = np.format_float_scientific(x, precision=11, unique=False, trim="-")
+    return s.replace(".e", "e")  # "1.e-05" is not a JSON number
 
 
 def render_json(obj) -> str:
@@ -133,7 +134,9 @@ def run(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        report = _dispatch(args)
+        # an overflow shows as inf or nan, which _check_finite refuses by name
+        with np.errstate(all="ignore"):
+            report = _dispatch(args)
         _check_finite(report)
     except ContractError as exc:
         print(f"error: {exc}", file=sys.stderr)

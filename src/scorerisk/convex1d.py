@@ -8,11 +8,20 @@ a nondecreasing slope selection descending at its left end only, and stops:
 - at listed kinks, by a binary search over the slopes at the gap
   midpoints; where the function is linear between kinks, the kink where
   descending stops is the exact answer (width 0);
+- at any point whose two slopes bracket zero: both are subgradients, so
+  the left is >= the left derivative and the right <= the right one, and
+  left < 0 <= right makes the point the leftmost minimizer exactly
+  (left <= 0 < right the rightmost), as at a listed kink the search found;
+- past listed kinks where the function is not linear between them, by
+  tangent steps to where the supporting lines at the bracket ends cross
+  (Kelley, J. SIAM 8, 1960): where it is piecewise linear, as under evar,
+  they land on kinks no list holds;
 - otherwise by the Illinois regula falsi (Dowell & Jarratt, BIT 11,
-  1971), bisecting after each step that fails to halve the bracket: at
-  a zero of a strictly increasing slope, at two adjacent floats, or a
-  few steps (none if it starts there) after the width drops under `tol`,
-  which happens only where the slope jumps at a point no list holds.
+  1971). Both kinds of step are followed by a bisection where they fail
+  to halve the bracket, and stop at a zero of a strictly increasing
+  slope, at two adjacent floats, or a few steps (none if it starts there)
+  after the width drops under `tol`, which happens only where the slope
+  jumps at a point no list holds.
 
 So `tol` caps the work, and the final width is the precision reached.
 `minimizer_interval` searches both ends, the second from where the first
@@ -30,38 +39,52 @@ from .errors import DomainError
 
 _MAX_STEPS = 200
 _PAST_TOL = 3  # steps taken after the bracket is under tol
+_NUDGE = 2.0**-10  # where a tangent step lands on an end, step this share of the bracket inside
 Kinks = Callable[[float, float], np.ndarray | None]
+Slopes = Callable[[float], tuple[float, float, float]]
 
 
-def sign_change(gprime: Callable[[float], float], lo: float, hi: float, tol: float, *,
+def sign_change(slopes: Slopes, lo: float, hi: float, tol: float, *,
                 rightmost: bool = False, strict: bool = False,
                 kinks: Kinks | None = None, linear: bool = False) -> tuple[float, float]:
-    """Final bracket of the point where the slope selection `gprime`
-    stops being < 0 (<= 0 with `rightmost`): (y, y) when y is exact, one
-    end twice when the point lies outside [lo, hi]. `strict`: gprime is
-    strictly increasing. `kinks(lo, hi)`: the sorted points inside where
-    gprime may jump, or None while too many to list; with `linear`,
-    gprime is constant between them.
+    """Final bracket of the point where the slope selection stops being < 0
+    (<= 0 with `rightmost`): (y, y) when y is exact, one end twice when the
+    point lies outside [lo, hi]. `slopes(y)` is (left, right, g(y)), left
+    <= right two subgradients of convex g at y; the selection searched is
+    the right one (the left with `rightmost`). `strict`: it is strictly
+    increasing. `kinks(lo, hi)`: the sorted points inside where it may
+    jump, or None while too many to list; with `linear`, it is constant
+    between them.
     """
     if not tol > 0.0:
         raise DomainError(f"tol must be > 0, got {tol!r}")
+    side = 0 if rightmost else 1
 
     def descending(slope: float) -> bool:
         return slope <= 0.0 if rightmost else slope < 0.0
 
-    def narrow(y: float) -> float:
-        nonlocal lo, flo, hi, fhi
-        if descending(f := gprime(y)):
-            lo, flo = y, f
-        else:
-            hi, fhi = y, f
-        return f
+    def exact(pair: tuple[float, float, float]) -> bool:
+        # g'-(y) <= left < 0 <= right <= g'+(y): y is the point (mirrored
+        # for `rightmost`), whichever subgradients the pair holds
+        return descending(pair[0]) and not descending(pair[1])
 
-    flo, fhi = gprime(lo), gprime(hi)
+    def narrow(y: float) -> bool:
+        nonlocal lo, at_lo, flo, hi, at_hi, fhi
+        pair = slopes(y)
+        if descending(pair[side]):
+            lo, at_lo, flo = y, pair, pair[side]
+        else:
+            hi, at_hi, fhi = y, pair, pair[side]
+        return exact(pair)
+
+    at_lo, at_hi = slopes(lo), slopes(hi)
+    flo, fhi = at_lo[side], at_hi[side]
     if not descending(flo):
         return lo, lo
     if descending(fhi):
         return hi, hi
+    if exact(at_lo) or exact(at_hi):
+        return (lo, lo) if rightmost else (hi, hi)
     # tol caps the work: a bracket that starts under it takes no steps
     past_tol = _PAST_TOL if hi - lo <= tol else 0
     while kinks is not None and (listed := kinks(lo, hi)) is None and lo < 0.5 * (lo + hi) < hi:
@@ -74,59 +97,72 @@ def sign_change(gprime: Callable[[float], float], lo: float, hi: float, tol: flo
         while above - below > 1:
             i = (below + above) // 2
             y = 0.5 * (float(points[i]) + float(points[i + 1]))
-            below, above = (i, above) if descending(narrow(y)) else (below, i)
+            narrow(y)
+            below, above = (i, above) if lo == y else (below, i)
         k = float(points[above])
-        if linear:
+        if linear or lo < k < hi and narrow(k):
             return k, k
-        if lo < k < hi:
-            narrow(k)  # the slope is continuous on either side of k from here
+    # past the listed kinks g may still be piecewise linear, with kinks no
+    # list holds: the supporting lines at lo and hi, each with the slope on
+    # the bracket's side, cross at such a kink where it is the only one
+    tangent = kinks is not None
     moved, bisect = 0, False
     for _ in range(_MAX_STEPS):
         width = hi - lo
         mid = lo + 0.5 * width
         if not lo < mid < hi or width <= tol and (past_tol := past_tol + 1) > _PAST_TOL:
             break
-        y = mid if bisect else lo + width * (flo / (flo - fhi))
+        if bisect:
+            y = mid
+        elif tangent:
+            y = lo + (at_hi[2] - at_lo[2] - at_hi[0] * width) / (at_lo[1] - at_hi[0])
+            if not lo < y < hi:
+                # the lines cross at an end: g is linear up to a kink there
+                # (to rounding), so test a point just inside it
+                y = lo + _NUDGE * width if y <= lo else hi - _NUDGE * width
+        else:
+            y = lo + width * (flo / (flo - fhi))
         secant = lo < y < hi and y != mid
         y = y if secant else mid
-        f = narrow(y)
+        if narrow(y):
+            return y, y
+        f, side_moved = (flo, -1) if lo == y else (fhi, 1)
         if strict and f == 0.0:
             return y, y
-        side = -1 if descending(f) else 1
-        if secant and side == moved:
+        if secant and side_moved == moved and not tangent:
             # Illinois: two secant steps in a row moved the same end, so
             # halve the slope kept at the other to make the next cross over
-            flo, fhi = (flo, 0.5 * fhi) if side < 0 else (0.5 * flo, fhi)
-        moved = side if secant else moved
+            flo, fhi = (flo, 0.5 * fhi) if side_moved < 0 else (0.5 * flo, fhi)
+        moved = side_moved if secant else moved
         bisect = hi - lo > 0.5 * width
     return lo, hi
 
 
-def minimizer_interval(slopes: Callable[[float], tuple[float, float]], a: float, b: float,
-                       tol: float, *, strict: bool = False, kinks: Kinks | None = None,
+def minimizer_interval(slopes: Slopes, a: float, b: float, tol: float, *, strict: bool = False,
+                       kinks: Kinks | None = None,
                        linear: bool = False) -> tuple[float, float, float]:
     """Both ends of the minimizer set in [a, b] and the widest final
-    bracket, from the pair (left, right) of derivative selections
-    `slopes(y)`. The rightmost end, unless `strict`, is searched from the
-    leftmost search's lower end to the first point seen where the left
-    selection is > 0. `strict`, `kinks` and `linear` are `sign_change`'s;
-    ends crossed near a strict minimum collapse to their midpoint."""
-    seen: dict[float, tuple[float, float]] = {}
+    bracket, from `slopes(y)` = (left, right, g(y)). The rightmost end,
+    unless `strict`, is searched from the leftmost search's lower end to
+    the first point seen where the left selection is > 0. `strict`,
+    `kinks` and `linear` are `sign_change`'s; ends crossed near a strict
+    minimum collapse to their midpoint."""
+    seen: dict[float, tuple[float, float, float]] = {}
 
-    def pair(y: float) -> tuple[float, float]:
+    def pair(y: float) -> tuple[float, float, float]:
         if y not in seen:
             seen[y] = slopes(y)
         return seen[y]
 
     search = dict(kinks=kinks, linear=linear)
-    lo, left = sign_change(lambda y: pair(y)[1], a, b, tol, strict=strict, **search)
+    lo, left = sign_change(pair, a, b, tol, strict=strict, **search)
     if strict:
         return left, left, left - lo
-    # an exact kink is returned unevaluated; the last point seen left of it
-    # is that search's final lower end
+    # a kink found under `linear` is returned unevaluated; the last point
+    # seen left of it is that search's final lower end
     start = max(y for y in seen if y <= lo)
-    end = min((y for y, (slope, _) in seen.items() if slope > 0.0), default=b)
-    right, hi = sign_change(lambda y: pair(y)[0], start, end, tol, rightmost=True, **search)
+    end = min((y for y, (slope, _, _) in seen.items() if slope > 0.0), default=b)
+    right, hi = sign_change(pair, start, end, tol, rightmost=True, **search)
     width = max(left - lo, hi - right)
     if left > right:
         left = right = 0.5 * (left + right)

@@ -21,6 +21,9 @@ from .errors import DomainError
 from .spaces import MeasureWeights, ScenarioVariable
 from .spec import Spec
 
+# below this root mean square, some of the squares summed are subnormal
+_RMS_FLOOR = 1e-150
+
 
 class CoherentRiskMeasure(Spec):
     GRAMMAR = "el | es:<alpha> | evar:<alpha> | msd:<beta> | ml"
@@ -87,6 +90,14 @@ def _sorted_tail(Z: np.ndarray, p: np.ndarray, alpha: float) -> tuple[np.ndarray
     return order, np.clip(alpha - (np.cumsum(ps, axis=1) - ps), 0.0, ps)
 
 
+def _scaled_rms(U: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Row-wise sqrt(E[u^2]) of U >= 0, each row divided by its largest
+    entry before squaring: msd's semideviation where u * u overflows, or
+    underflows to below _RMS_FLOOR squared (to 0 for data near 1e-300)."""
+    top = U.max(axis=1)
+    return top * np.sqrt((U / np.where(top > 0.0, top, 1.0)[:, None]) ** 2 @ p)
+
+
 def _expectile_root(Z: np.ndarray, p: np.ndarray, alpha: float) -> np.ndarray:
     """Row-wise root x of g(x) = alpha E[(Z-x)+] - (1-alpha) E[(x-Z)+].
 
@@ -128,7 +139,11 @@ def evaluate_batch(rho: CoherentRiskMeasure, Z: np.ndarray, p: np.ndarray) -> np
         return -Z.min(axis=1)
     if kind == "msd":
         mean = Z @ p
-        semi = np.sqrt(np.maximum(mean[:, None] - Z, 0.0) ** 2 @ p)
+        with np.errstate(over="ignore"):
+            semi = np.sqrt(np.maximum(mean[:, None] - Z, 0.0) ** 2 @ p)
+        off = ~(semi >= _RMS_FLOOR) | (semi == math.inf)
+        if off.any():
+            semi[off] = _scaled_rms(np.maximum(mean[off, None] - Z[off], 0.0), p)
         return -mean + a * semi
     if kind == "es":
         order, w = _sorted_tail(Z, p, a)
@@ -164,7 +179,10 @@ def payoff_gradient(rho: CoherentRiskMeasure, z: np.ndarray, p: np.ndarray) -> n
     if kind == "msd":
         mean = float(np.dot(p, z))
         u = np.maximum(mean - z, 0.0)
-        s = float(np.sqrt(np.dot(p, u * u)))
+        with np.errstate(over="ignore"):
+            s = float(np.sqrt(np.dot(p, u * u)))
+        if not _RMS_FLOOR <= s < math.inf:
+            s = float(_scaled_rms(u[None, :], p)[0])
         if s == 0.0:
             return -p
         return -p + a * p * (float(np.dot(p, u)) - u) / s

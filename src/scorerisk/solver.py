@@ -4,15 +4,19 @@ Given a coherent risk measure rho and a score f, minimizes
 g(y) = rho(-f(X - y)) over y. The minimum is the deviation value, the
 leftmost minimizer (negated) is the risk value, and the full minimizer
 interval is reported. `convex1d.minimizer_interval` finds both ends from
-the exact one-sided subgradients, both from one payoff gradient a point:
-an exact kink for pinball-type scores under el, es and ml, whose kinks
-are listed in O(n) memory and binary-searched; elsewhere a zero slope,
-two adjacent floats, or a few steps past `tol` where the slope jumps at
-an unlisted kink (an es tail change under huber, say). So `tol` caps the
-work, and `tol_achieved` is the widest final bracket. The same gradient
-gives the value as grad . payoff (rho is positively homogeneous), so the
-deviation costs no kernel call at a point the search visited. A grid-scan
-oracle, evaluating rho directly, checks the same quantities.
+the exact one-sided subgradients, both from one payoff gradient a point.
+Pinball-type scores list their kinks in O(n) memory for a binary search:
+under el, es and ml it ends on an exact kink; under evar and msd the kink
+it finds is exact where its two one-sided slopes bracket zero, and
+otherwise tangent steps on the values go on to the kinks no list holds
+(where the expectile or the mean crosses a payoff). Elsewhere the search
+ends at a zero slope, two adjacent floats, or a few steps past `tol`
+where the slope jumps at an unlisted kink (an es tail change under
+huber, say). So `tol` caps the work, and `tol_achieved` is the widest
+final bracket. The same gradient gives the value as grad . payoff (rho
+is positively homogeneous), so the deviation costs no kernel call at a
+point the search visited. A grid-scan oracle, evaluating rho directly,
+checks the same quantities.
 """
 
 from __future__ import annotations
@@ -55,14 +59,15 @@ class _Objective:
         self.calls = 0
         self.values: dict[float, float] = {}
 
-    def slopes(self, y: float) -> tuple[float, float]:
+    def slopes(self, y: float) -> tuple[float, float, float]:
         """Left and right slopes grad_rho(payoff) . f'(X - y), with f's right and left
-        derivatives as X - y falls; ContractError where left > right beyond rounding."""
+        derivatives as X - y falls, and the value grad_rho(payoff) . payoff;
+        ContractError where left > right beyond rounding."""
         self.calls += 1
         z = self.x - y
         payoff = -self.s.f(z)
         grad = payoff_gradient(self.rho, payoff, self.p)
-        self.values[y] = float(np.dot(grad, payoff))
+        value = self.values[y] = float(np.dot(grad, payoff))
         del payoff  # one more live row made glibc trim the heap and re-fault it each call
         fp = self.s.fprime_right(z)
         left = right = float(np.dot(grad, fp))
@@ -75,7 +80,7 @@ class _Objective:
             raise ContractError(f"at y = {y!r} the left slope {left!r} exceeds the right slope "
                                 f"{right!r} by more than rounding ({noise!r}): the objective "
                                 "is not convex")
-        return tuple(slope if abs(slope) > noise else 0.0 for slope in (left, right))
+        return *(slope if abs(slope) > noise else 0.0 for slope in (left, right)), value
 
     def grid(self, ys: np.ndarray) -> np.ndarray:
         rows = max(1, _GRID_BLOCK // self.x.size)
@@ -97,15 +102,22 @@ def _kink_lister(rho: CoherentRiskMeasure, s: ScoreFunction, X: ScenarioVariable
     if rho.kind not in ("es", "ml"):
         return lambda lo, hi: vals[np.searchsorted(vals, lo, side="right"):np.searchsorted(vals, hi)]
     a = 0.5 if s.kind == "absolute" else s.param
+    most = max(vals.size, 64)
 
     def pairs(lo: float, hi: float):
+        # the k outcomes inside pair into k^2 points inside, so two scalar
+        # searches refuse a wide bracket; k - 2 leaves room for rounding at
+        # the ends, where an outermost outcome's pairs may fall outside
+        inside = int(np.searchsorted(vals, hi)) - int(np.searchsorted(vals, lo, side="right"))
+        if (inside - 2) ** 2 > most:  # most >= 64, so inside > 10 here
+            return None
         # for each v_i, the partners v_j with a*v_i + (1-a)*v_j in the
         # bracket form one contiguous range of the sorted outcomes
         first = np.searchsorted(vals, (lo - a * vals) / (1.0 - a), side="right")
         last = np.searchsorted(vals, (hi - a * vals) / (1.0 - a))
         count = np.maximum(last - first, 0)
         total = int(count.sum())
-        if total > max(vals.size, 64):
+        if total > most:
             return None
         j = np.repeat(first - np.cumsum(count) + count, count) + np.arange(total)
         near = np.unique(a * np.repeat(vals, count) + (1.0 - a) * vals[j])

@@ -48,6 +48,10 @@ class Spec:
         return getattr(cls, kind)(param)
 
     def spec_string(self) -> str:
+        """The text `parse` reads back to this entry: ``:g``'s short form
+        (``barron:1``, ``es:0.1``) where it holds the parameter exactly,
+        else the shortest round-trip text (``es:0.1234567``)."""
         if self.param is None:
             return self.kind
-        return f"{self.kind}:{self.param:g}"
+        text = f"{self.param:g}"
+        return f"{self.kind}:{text if float(text) == self.param else repr(self.param)}"

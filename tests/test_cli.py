@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from scorerisk.cli import EXIT_CONTRACT, run
+from scorerisk.cli import EXIT_CONTRACT, fmt_num, run
+from scorerisk.errors import ScoreriskError
 from scorerisk.risk import CoherentRiskMeasure
 from scorerisk.scores import ScoreFunction
 
@@ -104,6 +105,27 @@ class TestReports:
         assert code == 0
         assert json.loads(out)["target"] == 'x"y'
 
+    def test_small_numbers_are_json_numbers(self, capsys, tmp_path):
+        # numpy writes 1e-5 as "1.e-05", which JSON rejects
+        for m in range(1, 10):
+            for e in range(-320, -4):
+                x = float(f"{m}e{e}")
+                assert json.loads(fmt_num(x)) == pytest.approx(x, rel=1e-11)
+                assert json.loads(fmt_num(-x)) == pytest.approx(-x, rel=1e-11)
+        data = tmp_path / "tiny.csv"
+        data.write_text("x\n0\n1e-5\n")
+        code, out, _ = run_cli(["solve", str(data), "--risk", "el", "--score", "absolute"], capsys)
+        assert code == 0
+        report = json.loads(out)
+        assert (report["d_value"], report["argmin_hi"]) == (5e-06, 1e-05)
+
+    def test_spec_parameters_are_echoed_exactly(self, capsys):
+        code, out, _ = run_cli(["solve", str(DATA / "quartet.csv"), "--risk", "es:0.1234567",
+                                "--score", "barron:1"], capsys)
+        assert code == 0
+        report = json.loads(out)
+        assert (report["risk"], report["score"]) == ("es:0.1234567", "barron:1")
+
     def test_plain_format_same_payload(self, capsys):
         args = GOLDEN[1][0]
         _, json_out, _ = run_cli(args, capsys)
@@ -200,11 +222,21 @@ class TestExitCodes:
         # exp(800) overflows, so the deviation is inf, which JSON cannot spell
         data = tmp_path / "linex.csv"
         data.write_text("x\n-800\n0\n800\n")
-        with np.errstate(over="ignore"):
-            code, out, err = run_cli(["solve", str(data), "--score", "linex:1"], capsys)
+        code, out, err = run_cli(["solve", str(data), "--score", "linex:1"], capsys)
         assert code == 1
         assert out == ""
         assert err.startswith("error: d_value is not finite")
+        assert err.count("\n") == 1
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_prints_one_error_line(self, capsys):
+        # exp(-1e300 x) overflows in f and f'; numpy's warnings stay off stderr
+        code, out, err = run_cli(["solve", str(DATA / "quartet.csv"), "--score", "linex:1e300"],
+                                 capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "command", ["risk", "deviation", "solve", "oracle-check", "regress", "hedge", "portfolio"]
@@ -259,6 +291,34 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as excinfo:
             run(["frobnicate", str(DATA / "quartet.csv")])
         assert excinfo.value.code == 2
+
+
+EDGE_PARAMETERS = [5e-324, 1e-300, 1e-5, 0.1, 0.1234564, 0.1234567, 1 / 3, 0.5,
+                   float(np.nextafter(0.5, 0.0)), float(np.nextafter(1.0, 0.0)), 1.0, 1.5,
+                   123456789.0, 1e16, 1e300]
+
+
+class TestSpecStrings:
+    @pytest.mark.parametrize("catalog", [CoherentRiskMeasure, ScoreFunction],
+                             ids=["risk", "score"])
+    def test_spec_string_parses_back_to_the_same_entry(self, catalog):
+        for entry in catalog.GRAMMAR.split(" | "):
+            kind, _, name = entry.partition(":")
+            if not name:
+                assert catalog.parse(kind).spec_string() == kind
+                continue
+            for param in EDGE_PARAMETERS:
+                try:
+                    spec = getattr(catalog, kind)(param)
+                except ScoreriskError:
+                    continue  # outside the kind's range
+                assert catalog.parse(spec.spec_string()) == spec
+
+    def test_short_forms_are_kept(self):
+        assert ScoreFunction.barron(1.0).spec_string() == "barron:1"
+        assert CoherentRiskMeasure.es(0.1).spec_string() == "es:0.1"
+        assert ScoreFunction.huber(1e16).spec_string() == "huber:1e+16"
+        assert CoherentRiskMeasure.es(0.1234567).spec_string() == "es:0.1234567"
 
 
 class TestGoldenFiles:

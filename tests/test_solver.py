@@ -196,10 +196,10 @@ class TestSolveResultInvariants:
         # jump or a strict minimum, and the rightmost search starts there
         searched, sign_change = [], convex1d.sign_change
 
-        def traced_search(gprime, lo, hi, tol, **kw):
+        def traced_search(slopes, lo, hi, tol, **kw):
             points = []
             searched.append((kw.get("rightmost", False), hi - lo, points))
-            return sign_change(lambda y: points.append(y) or gprime(y), lo, hi, tol, **kw)
+            return sign_change(lambda y: points.append(y) or slopes(y), lo, hi, tol, **kw)
 
         monkeypatch.setattr(convex1d, "sign_change", traced_search)
         X = uvar(np.random.default_rng(0).normal(0, 1, 1001))
@@ -241,6 +241,67 @@ class TestSolveResultInvariants:
             tracemalloc.stop()
         # every pairwise combination of the outcomes would take 69 MiB
         assert peak < 20 * 2**20
+
+
+def golden_min(g, a: float, b: float, width: float) -> tuple[float, float]:
+    """(y, g(y)) at a minimum of convex g on [a, b], by golden-section search."""
+    inv = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - inv * (b - a), a + inv * (b - a)
+    gc, gd = g(c), g(d)
+    while b - a > width:
+        if gc <= gd:
+            b, d, gd = d, c, gc
+            c = b - inv * (b - a)
+            gc = g(c)
+        else:
+            a, c, gc = c, d, gd
+            d = a + inv * (b - a)
+            gd = g(d)
+    return (c, gc) if gc <= gd else (d, gd)
+
+
+class TestKinkedSearch:
+    """Pinball-family solves on 3 001 t(4) outcomes, as in the `kinked` benchmark."""
+
+    X = uvar(0.8 * np.random.default_rng(1).standard_t(4, 3001))
+
+    @pytest.mark.parametrize("risk, score, most, slack", [
+        # a bisection to tol 1e-8 alone takes about 30 steps past the kink search
+        ("evar:0.2", "pinball:0.1", 30, 1e-8),
+        ("evar:0.2", "absolute", 26, 1e-8),
+        ("evar:0.2", "cost:0.3", 16, 1e-8),
+        ("msd:0.5", "pinball:0.1", 16, 1e-8),
+        ("msd:0.5", "absolute", 16, 1e-8),
+        # a smooth minimum between kinks: golden section resolves it only to
+        # about sqrt(eps) of the range, where the values agree to rounding
+        ("msd:0.5", "cost:0.3", 38, 1e-7),
+    ])
+    def test_evar_and_msd_end_within_tol_in_few_evaluations(self, risk, score, most, slack):
+        rho, s = CoherentRiskMeasure.parse(risk), ScoreFunction.parse(score)
+        x = self.X.values
+        res = solve(rho, s, self.X, tol=1e-8)
+        assert res.evaluations <= most
+
+        def g(y):
+            return risk_value(rho, uvar(-s.f(x - y)))
+
+        y_ref, g_ref = golden_min(g, float(x.min()), float(x.max()), 1e-12)
+        assert res.argmin_lo - slack <= y_ref <= res.argmin_hi + slack
+        assert res.d_value <= g_ref * (1.0 + 1e-14)
+        for end in (res.argmin_lo, res.argmin_hi):
+            assert g(end) == pytest.approx(res.d_value, rel=1e-13)
+
+    @pytest.mark.parametrize("risk, score, evaluations", [
+        ("el", "pinball:0.1", 16), ("el", "absolute", 16), ("el", "cost:0.3", 16),
+        ("es:0.1", "pinball:0.1", 27), ("es:0.1", "absolute", 31), ("es:0.1", "cost:0.3", 30),
+        ("ml", "pinball:0.1", 19), ("ml", "absolute", 23), ("ml", "cost:0.3", 17),
+    ])
+    def test_linear_searches_keep_their_evaluation_counts(self, risk, score, evaluations):
+        # under el, es and ml every kink is listed and the slope is constant
+        # between them, so the binary search alone is exact
+        res = solve(CoherentRiskMeasure.parse(risk), ScoreFunction.parse(score), self.X)
+        assert res.evaluations == evaluations
+        assert res.tol_achieved == 0.0
 
 
 class TestOracleAgreement:
@@ -413,6 +474,21 @@ class TestMeasureProperties:
             scaled = solve(rho, s, X.with_values(lam * X.values), tol=1e-9)
             assert scaled.r_value == pytest.approx(lam * base.r_value, abs=1e-6)
             assert scaled.d_value == pytest.approx(lam * base.d_value, abs=1e-6)
+
+    @pytest.mark.parametrize("score", ["pinball:0.3", "absolute", "cost:0.3"])
+    def test_msd_scales_with_the_data_at_extreme_magnitudes(self, score):
+        # u * u overflows near 1e154 and underflows near 1e-154; msd's
+        # semideviation must not fall back to el's gradient there
+        rho, s = CoherentRiskMeasure.msd(0.5), ScoreFunction.parse(score)
+        values = np.array([1.0, -1.0, 0.5, 0.2])
+        base = solve(rho, s, uvar(values))
+        assert base.d_value != solve(EL, s, uvar(values)).d_value
+        for scale in (1e-300, 1e300):
+            scaled = solve(rho, s, uvar(scale * values), tol=1e-8 * scale)
+            assert scaled.r_value / scale == pytest.approx(base.r_value, abs=1e-8)
+            assert scaled.d_value / scale == pytest.approx(base.d_value, rel=1e-12)
+            assert risk_value(rho, uvar(scale * values)) / scale == pytest.approx(
+                risk_value(rho, uvar(values)), rel=1e-12)
 
     def test_deviation_convexity(self, rng):
         for _ in range(10):
