@@ -3,22 +3,28 @@
 A convex function's minimizer set is where its slope changes sign: its
 right derivative is >= 0 from the leftmost minimizer on, and its left
 derivative <= 0 up to the rightmost. `sign_change` keeps a bracket with
-a nondecreasing slope selection descending at its left end only, and stops:
+a nondecreasing slope selection descending at its left end only. Its
+tangent step goes to where the supporting lines at the bracket ends
+cross (Kelley, J. SIAM 8, 1960); where the function is piecewise linear
+and one kink lies between the pieces at the ends, that is the kink. It
+stops:
 
 - at listed kinks, by a binary search over the slopes at the gap
   midpoints; where the function is linear between kinks, the kink where
-  descending stops is the exact answer (width 0);
+  descending stops is the exact answer (width 0). The search probes the
+  gap holding the tangent crossing, first and after each probe that
+  halved the gaps left, and the middle gap after one that did not. While
+  the kinks are too many to list, tangent steps narrow the bracket;
 - at any point whose two slopes bracket zero: both are subgradients, so
   the left is >= the left derivative and the right <= the right one, and
   left < 0 <= right makes the point the leftmost minimizer exactly
   (left <= 0 < right the rightmost), as at a listed kink the search found;
 - past listed kinks where the function is not linear between them, by
-  tangent steps to where the supporting lines at the bracket ends cross
-  (Kelley, J. SIAM 8, 1960): where it is piecewise linear, as under evar,
-  they land on kinks no list holds;
+  tangent steps: where it is piecewise linear, as under evar, they land
+  on kinks no list holds;
 - otherwise by the Illinois regula falsi (Dowell & Jarratt, BIT 11,
-  1971). Both kinds of step are followed by a bisection where they fail
-  to halve the bracket, and stop at a zero of a strictly increasing
+  1971). Each kind of step is followed by a bisection where it fails to
+  halve the bracket. The last two stop at a zero of a strictly increasing
   slope, at two adjacent floats, or a few steps (none if it starts there)
   after the width drops under `tol`, which happens only where the slope
   jumps at a point no list holds.
@@ -77,6 +83,17 @@ def sign_change(slopes: Slopes, lo: float, hi: float, tol: float, *,
             hi, at_hi, fhi = y, pair, pair[side]
         return exact(pair)
 
+    def tangent() -> float:
+        # where the supporting lines at lo and hi, each with the slope on the
+        # bracket's side, cross; at an end g is linear up to a kink there (to
+        # rounding), so a point just inside it, and the midpoint where the
+        # bracket is too narrow for that
+        width = hi - lo
+        y = lo + (at_hi[2] - at_lo[2] - at_hi[0] * width) / (at_lo[1] - at_hi[0])
+        if not lo < y < hi:
+            y = lo + _NUDGE * width if y <= lo else hi - _NUDGE * width
+        return y if lo < y < hi else lo + 0.5 * width
+
     at_lo, at_hi = slopes(lo), slopes(hi)
     flo, fhi = at_lo[side], at_hi[side]
     if not descending(flo):
@@ -87,25 +104,37 @@ def sign_change(slopes: Slopes, lo: float, hi: float, tol: float, *,
         return (lo, lo) if rightmost else (hi, hi)
     # tol caps the work: a bracket that starts under it takes no steps
     past_tol = _PAST_TOL if hi - lo <= tol else 0
+    bisect = False
     while kinks is not None and (listed := kinks(lo, hi)) is None and lo < 0.5 * (lo + hi) < hi:
-        narrow(0.5 * (lo + hi))
+        width = hi - lo
+        y = 0.5 * (lo + hi) if bisect else tangent()
+        if narrow(y):
+            return y, y
+        bisect = hi - lo > 0.5 * width
     if kinks is not None and listed is not None:
         # gap i runs from points[i] to points[i + 1]; the sentinel gaps -1
         # and points.size - 1 stand for the known slopes at lo and hi
         points = np.concatenate(([lo], listed, [hi]))
         below, above = -1, points.size - 1
+        guided = True  # probe the gap that holds the tangent crossing
         while above - below > 1:
+            span = above - below
             i = (below + above) // 2
+            if guided:
+                i = int(np.searchsorted(points, tangent(), side="right")) - 1
+                i = min(max(i, below + 1), above - 1)
             y = 0.5 * (float(points[i]) + float(points[i + 1]))
-            narrow(y)
+            if narrow(y):
+                return y, y
             below, above = (i, above) if lo == y else (below, i)
+            guided = 2 * (above - below) <= span
         k = float(points[above])
         if linear or lo < k < hi and narrow(k):
             return k, k
     # past the listed kinks g may still be piecewise linear, with kinks no
-    # list holds: the supporting lines at lo and hi, each with the slope on
-    # the bracket's side, cross at such a kink where it is the only one
-    tangent = kinks is not None
+    # list holds: the tangent steps land on such a kink where it is the
+    # only one between the bracket ends
+    tangent_steps = kinks is not None
     moved, bisect = 0, False
     for _ in range(_MAX_STEPS):
         width = hi - lo
@@ -114,12 +143,8 @@ def sign_change(slopes: Slopes, lo: float, hi: float, tol: float, *,
             break
         if bisect:
             y = mid
-        elif tangent:
-            y = lo + (at_hi[2] - at_lo[2] - at_hi[0] * width) / (at_lo[1] - at_hi[0])
-            if not lo < y < hi:
-                # the lines cross at an end: g is linear up to a kink there
-                # (to rounding), so test a point just inside it
-                y = lo + _NUDGE * width if y <= lo else hi - _NUDGE * width
+        elif tangent_steps:
+            y = tangent()
         else:
             y = lo + width * (flo / (flo - fhi))
         secant = lo < y < hi and y != mid
@@ -129,7 +154,7 @@ def sign_change(slopes: Slopes, lo: float, hi: float, tol: float, *,
         f, side_moved = (flo, -1) if lo == y else (fhi, 1)
         if strict and f == 0.0:
             return y, y
-        if secant and side_moved == moved and not tangent:
+        if secant and side_moved == moved and not tangent_steps:
             # Illinois: two secant steps in a row moved the same end, so
             # halve the slope kept at the other to make the next cross over
             flo, fhi = (flo, 0.5 * fhi) if side_moved < 0 else (0.5 * flo, fhi)

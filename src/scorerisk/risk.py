@@ -4,11 +4,11 @@ Five kinds: expected loss (el), expected shortfall (es), expectile value
 at risk (evar), mean plus semi-deviation (msd), and maximum loss (ml).
 Each evaluates exactly on the finite space through one kernel per
 measure: sort-free sums for el, msd and ml, for es a lower tail selected
-in O(n) and sorted alone, and an exact expectile root from one sort for
-evar. Each also gives a payoff subgradient: rho is positively
-homogeneous, so rho(Z) = grad . Z, and the negated subgradient is a
-worst-case reweighting attaining the dual representation
-rho(Z) = max_q E_q[-Z].
+in O(n) and sorted alone, and for evar an exact expectile root by
+Newton's iteration, a few O(n) reweighted means with no sort. Each also
+gives a payoff subgradient: rho is positively homogeneous, so
+rho(Z) = grad . Z, and the negated subgradient is a worst-case
+reweighting attaining the dual representation rho(Z) = max_q E_q[-Z].
 """
 
 from __future__ import annotations
@@ -23,6 +23,8 @@ from .spec import Spec
 
 # below this root mean square, some of the squares summed are subnormal
 _RMS_FLOOR = 1e-150
+# from this many outcomes numpy's default sort, then a pass over ties, beats its stable sort
+_SORT_THEN_TIES = 2048
 
 
 class CoherentRiskMeasure(Spec):
@@ -57,6 +59,30 @@ class CoherentRiskMeasure(Spec):
         return CoherentRiskMeasure("ml", None)
 
 
+def _stable_argsort(V: np.ndarray) -> np.ndarray:
+    """Row-wise argsort of V, ties in index order, as numpy's stable sort.
+
+    Long rows take the default sort, and only where adjacent sorted values
+    tie is their order redone: each entry's run of equal values, then its
+    index, sort as one integer key.
+    """
+    n = V.shape[1]
+    if n < _SORT_THEN_TIES:
+        return np.argsort(V, axis=1, kind="stable")
+    order = np.argsort(V, axis=1)
+    ranked = np.take_along_axis(V, order, axis=1)
+    if np.isnan(ranked[:, -1]).any():  # nan sort last, but unequal to each other
+        return np.argsort(V, axis=1, kind="stable")
+    tie = ranked[:, 1:] == ranked[:, :-1]
+    if not tie.any():
+        return order
+    run = np.zeros_like(order)
+    np.cumsum(~tie, axis=1, out=run[:, 1:])
+    key = run * n + order
+    key.sort(axis=1)
+    return key % n
+
+
 def _sorted_tail(Z: np.ndarray, p: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """The leading entries of each row's stable order of Z, enough to hold
     its lower alpha-tail, and each one's mass clipped to that tail.
@@ -79,13 +105,13 @@ def _sorted_tail(Z: np.ndarray, p: np.ndarray, alpha: float) -> tuple[np.ndarray
             break  # nan among the c smallest, or rows tied at kth, of unequal lengths
         rows = np.arange(m)[:, None]
         candidates = picked.reshape(m, -1) - n * rows
-        order = candidates[rows, np.argsort(Z[rows, candidates], axis=1, kind="stable")]
+        order = candidates[rows, _stable_argsort(Z[rows, candidates])]
         ps = p[order]
         cum = np.cumsum(ps, axis=1)
         if np.all(cum[:, -1] >= alpha + 2.0 * np.finfo(float).eps):
             return order, np.clip(alpha - (cum - ps), 0.0, ps)
         c *= 2
-    order = np.argsort(Z, axis=1, kind="stable")
+    order = _stable_argsort(Z)
     ps = p[order]
     return order, np.clip(alpha - (np.cumsum(ps, axis=1) - ps), 0.0, ps)
 
@@ -99,25 +125,34 @@ def _scaled_rms(U: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 
 def _expectile_root(Z: np.ndarray, p: np.ndarray, alpha: float) -> np.ndarray:
-    """Row-wise root x of g(x) = alpha E[(Z-x)+] - (1-alpha) E[(x-Z)+].
+    """Row-wise root e of g(e) = alpha E[(Z-e)+] - (1-alpha) E[(e-Z)+].
 
-    g is strictly decreasing and linear between sorted outcomes. Its values
-    at the outcomes, from two cumulative sums, pick the piece where it
-    changes sign; there the root is the mean of Z reweighted by alpha above
-    and 1-alpha below, exact to roundoff (downstream difference quotients
-    divide by tiny steps and would amplify any fixed root tolerance).
+    g(e) = E[w (Z-e)] with weights w of 1-alpha below e and alpha at or
+    above it, so on each piece between outcomes its root is the reweighted
+    mean E[w Z] / E[w]. Newton's iteration steps to that mean for the piece
+    it stands on, from e = E[Z]: for alpha <= 1/2, g is concave and
+    decreasing with g(E[Z]) <= 0, so the iterates fall monotonically onto
+    the root's piece, whose mean is the root, exact to roundoff (downstream
+    difference quotients divide by tiny steps and would amplify any fixed
+    root tolerance). An outcome only ever leaves the set below, so it
+    stops, at the first iterate that does not fall, within n + 1 steps of
+    one comparison and two dot products each, with no sort.
     """
-    order = np.argsort(Z, axis=1)
-    zs = np.take_along_axis(Z, order, axis=1)
-    ps = p[order]
-    first = np.cumsum(ps * zs, axis=1)
-    # at x = zs_k: E[(x-Z)+] = x P(Z <= x) - E[Z; Z <= x] and
-    # E[(Z-x)+] = E[Z] - x + E[(x-Z)+]
-    shortfall = zs * np.cumsum(ps, axis=1) - first
-    g = alpha * (first[:, -1:] - zs) - (1.0 - 2.0 * alpha) * shortfall
-    below = np.arange(zs.shape[1]) < (g > 0.0).sum(axis=1)[:, None]
-    w = ps * np.where(below, 1.0 - alpha, alpha)
-    return (w * zs).sum(axis=1) / w.sum(axis=1)
+    pz = Z * p
+    e = pz.sum(axis=1)  # E[Z]
+    # E[w Z] = alpha E[Z] + (1 - 2 alpha) E[Z; Z < e], and E[w] likewise
+    shift, base, base_mass = 1.0 - 2.0 * alpha, alpha * e, alpha * p.sum()
+    below = np.empty_like(pz)
+    while True:
+        np.less(Z, e[:, None], out=below)
+        mass_below = below @ p
+        step = ((base + shift * np.matmul(below[:, None, :], pz[:, :, None])[:, 0, 0])
+                / (base_mass + shift * mass_below))
+        # with no mass below, the step is E[Z] >= e unless alpha E[Z] underflows
+        fell = (step < e) & (mass_below > 0.0)
+        if not fell.any():
+            return e
+        e = np.where(fell, step, e)
 
 
 def evaluate(rho: CoherentRiskMeasure, Z: ScenarioVariable) -> float:
@@ -177,15 +212,24 @@ def payoff_gradient(rho: CoherentRiskMeasure, z: np.ndarray, p: np.ndarray) -> n
         w[order[0]] = tail[0]
         return -w / a
     if kind == "msd":
+        # two n-sized buffers, reused in place: more live temporaries made
+        # glibc trim the heap after each call and fault it back on the next
         mean = float(np.dot(p, z))
-        u = np.maximum(mean - z, 0.0)
+        u = np.subtract(mean, z)
+        np.maximum(u, 0.0, out=u)
         with np.errstate(over="ignore"):
-            s = float(np.sqrt(np.dot(p, u * u)))
+            grad = np.multiply(u, u)
+            s = float(np.sqrt(np.dot(p, grad)))
         if not _RMS_FLOOR <= s < math.inf:
             s = float(_scaled_rms(u[None, :], p)[0])
         if s == 0.0:
             return -p
-        return -p + a * p * (float(np.dot(p, u)) - u) / s
+        # -p + a p (E[u] - u) / s, rounded as written (x - p is -p + x exactly)
+        np.multiply(a, p, out=grad)
+        grad *= np.subtract(float(np.dot(p, u)), u, out=u)
+        grad /= s
+        grad -= p
+        return grad
     if kind == "evar":
         e = _expectile_root(z[None, :], p, a)[0]
         weight = np.where(z < e, 1.0 - a, a)

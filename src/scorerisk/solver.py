@@ -5,18 +5,19 @@ g(y) = rho(-f(X - y)) over y. The minimum is the deviation value, the
 leftmost minimizer (negated) is the risk value, and the full minimizer
 interval is reported. `convex1d.minimizer_interval` finds both ends from
 the exact one-sided subgradients, both from one payoff gradient a point.
-Pinball-type scores list their kinks in O(n) memory for a binary search:
-under el, es and ml it ends on an exact kink; under evar and msd the kink
-it finds is exact where its two one-sided slopes bracket zero, and
-otherwise tangent steps on the values go on to the kinks no list holds
-(where the expectile or the mean crosses a payoff). Elsewhere the search
-ends at a zero slope, two adjacent floats, or a few steps past `tol`
-where the slope jumps at an unlisted kink (an es tail change under
-huber, say). So `tol` caps the work, and `tol_achieved` is the widest
-final bracket. The same gradient gives the value as grad . payoff (rho
-is positively homogeneous), so the deviation costs no kernel call at a
-point the search visited. A grid-scan oracle, evaluating rho directly,
-checks the same quantities.
+Pinball-type scores list their kinks in O(n) memory for a binary search
+guided by tangent steps on the values, which also narrow the bracket
+while under es and ml its pair points are too many to list: under el, es
+and ml it ends on an exact kink; under evar and msd the kink it finds is
+exact where its two one-sided slopes bracket zero, and otherwise tangent
+steps go on to the kinks no list holds (where the expectile or the mean
+crosses a payoff). Elsewhere the search ends at a zero slope, two
+adjacent floats, or a few steps past `tol` where the slope jumps at an
+unlisted kink (an es tail change under huber, say). So `tol` caps the
+work, and `tol_achieved` is the widest final bracket. The same gradient
+gives the value as grad . payoff (rho is positively homogeneous), so the
+deviation costs no kernel call at a point the search visited. A
+grid-scan oracle, evaluating rho directly, checks the same quantities.
 """
 
 from __future__ import annotations

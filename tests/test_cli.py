@@ -1,6 +1,9 @@
 """Command-line front end: reports, exit codes, and golden files."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -351,3 +354,17 @@ class TestGoldenFiles:
         raw = np.linalg.solve(np.cov(V, rowvar=False, bias=True), np.ones(V.shape[1]))
         for route in ("direct_weights", "regression_weights"):
             assert np.max(np.abs(np.array(report[route]) - raw / raw.sum())) <= 1e-9
+
+
+def test_cli_imports_nothing_beyond_numpy_but_the_standard_library():
+    # import time is benchmarked: a third-party import would add to every run
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = ("import sys, numpy; before = set(sys.modules); import scorerisk.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    added = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                           check=True, timeout=60).stdout.split()
+    assert "scorerisk.cli" in added
+    stray = [m for m in added if m.partition(".")[0] not in sys.stdlib_module_names | {"scorerisk"}]
+    assert stray == []

@@ -181,6 +181,32 @@ class TestSignChange:
             assert abs(vertex - lo) <= 4 * math.ulp(vertex)
             assert slope.calls <= 20
 
+    def test_tangent_steps_narrow_a_bracket_too_wide_to_list(self):
+        # g = max(a y + b) over 60 lines has its kinks among their 1 770
+        # crossings, listed only where 16 or fewer lie inside the bracket;
+        # bisecting until then took 18-21 evaluations on these draws
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            a, b = np.sort(rng.normal(0.0, 3.0, 60)), rng.normal(0.0, 1.0, 60)
+            i, j = np.triu_indices(60, 1)
+            crossings = np.sort((b[j] - b[i]) / (a[i] - a[j]))
+
+            def pair(y, a=a, b=b):
+                values = a * y + b
+                active = a[values == values.max()]
+                return float(active.min()), float(active.max()), float(values.max())
+
+            def refusing(lo, hi, crossings=crossings):
+                inside = crossings[(lo < crossings) & (crossings < hi)]
+                return inside if inside.size <= 16 else None
+
+            slope = Counted(pair)
+            lo, hi = sign_change(slope, -50.0, 50.0, 1e-9, kinks=refusing, linear=True)
+            vertex = min(crossings, key=lambda y: float(np.max(a * y + b)))
+            assert lo == hi
+            assert abs(lo - vertex) <= 1e-15
+            assert slope.calls <= 14
+
     def test_differentiable_slope_is_never_certified(self):
         # left == right everywhere, so no pair brackets zero: the tangent
         # steps end on a bracket under tol, not on one point

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from scorerisk import (
@@ -10,12 +12,14 @@ from scorerisk import (
     FiniteScenarioSpace,
     MeasureWeights,
     ScenarioVariable,
+    ScoreFunction,
     ValidationError,
     dual_maximizer,
     expectation,
     risk_value,
+    solve,
 )
-from scorerisk.risk import evaluate_batch, payoff_gradient
+from scorerisk.risk import _expectile_root, evaluate_batch, payoff_gradient
 
 from conftest import uvar, wvar
 
@@ -57,6 +61,38 @@ def expectile_gap(z, p, alpha, x):
     return alpha * np.dot(p, np.maximum(z - x, 0.0)) - (1.0 - alpha) * np.dot(
         p, np.maximum(x - z, 0.0)
     )
+
+
+def sorted_expectile_root(z, p, alpha):
+    """The expectile from a full sort: g at the sorted outcomes, from two
+    cumulative sums, picks the piece where it changes sign, and there the
+    root is the mean of z reweighted by 1 - alpha below and alpha above."""
+    order = np.argsort(z, kind="stable")
+    zs, ps = z[order], p[order]
+    first = np.cumsum(ps * zs)
+    shortfall = zs * np.cumsum(ps) - first
+    g = alpha * (first[-1] - zs) - (1.0 - 2.0 * alpha) * shortfall
+    w = ps * np.where(np.arange(zs.size) < (g > 0.0).sum(), 1.0 - alpha, alpha)
+    return float(np.dot(w, zs) / w.sum())
+
+
+@st.composite
+def expectile_rows(draw):
+    """(z, p, alpha): continuous draws, 0.1 ticks, whole numbers or
+    {-1, 0, 0, 1}, at magnitudes 1e-300 to 1e300, on uniform or Dirichlet
+    weights, with alpha in [1e-6, 1/2]."""
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    z = {
+        "continuous": lambda t: t,
+        "tick": lambda t: np.round(t / 0.1) * 0.1,
+        "whole": np.round,
+        "few": lambda t: rng.choice([-1.0, 0.0, 0.0, 1.0], t.size),
+    }[draw(st.sampled_from(["continuous", "tick", "whole", "few"]))](rng.standard_t(3, n))
+    z = z * 10.0 ** draw(st.integers(-300, 300))
+    concentration = draw(st.sampled_from([None, 0.3, 1.0, 5.0]))
+    p = np.full(n, 1.0 / n) if concentration is None else rng.dirichlet(np.full(n, concentration))
+    return z, p, draw(st.floats(1e-6, 0.5))
 
 
 def reference_risk(rho, z, p):
@@ -167,6 +203,33 @@ class TestValues:
             for z, value in zip(Z, evaluate_batch(rho, Z, p)):
                 scale = 1.0 + z.max() - z.min()
                 assert abs(expectile_gap(z, p, alpha, -value)) <= 1e-12 * scale
+
+    @settings(max_examples=400)
+    @given(expectile_rows())
+    def test_expectile_root_matches_a_full_sort(self, row):
+        z, p, alpha = row
+        root = _expectile_root(z[None, :], p, alpha)[0]
+        assert abs(root - sorted_expectile_root(z, p, alpha)) <= 1e-13 * np.abs(z).max()
+
+    def test_evar_at_a_tiny_alpha_stays_at_the_minimum(self):
+        # alpha E[Z] underflows to 0 here; the root is the minimum to rounding
+        for alpha in (1e-100, 5e-324):
+            values = 1e-300 * np.array([5.0, 6.0, 7.0])
+            assert risk_value(CoherentRiskMeasure.evar(alpha), uvar(values)) == -5e-300
+
+    def test_evar_solve_sorts_nothing(self, monkeypatch):
+        X = uvar(0.8 * np.random.default_rng(1).standard_t(4, 3001))
+        rho, s = CoherentRiskMeasure.evar(0.2), ScoreFunction.expectile(0.7)
+        expected = solve(rho, s, X)
+        root = sorted_expectile_root(X.values, X.space.p, 0.2)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an evar solve sorted")
+
+        for name in ("argsort", "sort", "take_along_axis"):
+            monkeypatch.setattr(np, name, refuse)
+        assert solve(rho, s, X) == expected
+        assert risk_value(rho, X) == pytest.approx(-root, abs=1e-14)
 
     @pytest.mark.parametrize(
         "alpha, values, p, expected",
@@ -414,6 +477,40 @@ class TestExpectedShortfallKernel:
         assert seen[:len(kths)] == kths
         # a batch whose rows tie at the c-th smallest is sorted whole
         self.check(np.array([z, np.round(z / 7.0)]), p, alpha)
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.5])
+    @pytest.mark.parametrize("weights", ["uniform", "dirichlet"])
+    def test_long_tails_sort_stably_only_at_ties(self, alpha, weights, rng, monkeypatch):
+        # from 2 048 outcomes on, the default sort runs and only the order of
+        # tied values is redone, so continuous rows take no stable sort
+        n = 30_000
+        p = np.full(n, 1.0 / n) if weights == "uniform" else rng.dirichlet(np.full(n, 0.5))
+        kinds = []
+        argsort = np.argsort
+
+        def spy(a, *args, **kwargs):
+            kinds.append(kwargs.get("kind"))
+            return argsort(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", spy)
+        Z = tie_patterns(rng, n)
+        for row in Z:
+            self.check(row[None, :], p, alpha)
+        self.check(Z, p, alpha)
+        kinds.clear()
+        evaluate_batch(CoherentRiskMeasure.es(alpha), Z[:1], p)
+        assert kinds and "stable" not in kinds
+
+    def test_nan_payoffs_order_last_in_long_rows(self, rng):
+        z = rng.normal(0.0, 1.0, 5000)
+        for count in (1500, 4750):
+            row = z.copy()
+            row[rng.permutation(5000)[:count]] = np.nan
+            p = np.full(5000, 1.0 / 5000)
+            for alpha in (0.1, 0.95):
+                w, _ = stable_sort_tail(row[None, :], p, alpha)
+                rho = CoherentRiskMeasure.es(alpha)
+                np.testing.assert_array_equal(payoff_gradient(rho, row, p), -w[0] / alpha)
 
     def test_nan_payoffs_order_last(self, rng):
         # as in a full sort; 95 of 100 nan put one among the c smallest

@@ -292,13 +292,14 @@ class TestKinkedSearch:
             assert g(end) == pytest.approx(res.d_value, rel=1e-13)
 
     @pytest.mark.parametrize("risk, score, evaluations", [
-        ("el", "pinball:0.1", 16), ("el", "absolute", 16), ("el", "cost:0.3", 16),
-        ("es:0.1", "pinball:0.1", 27), ("es:0.1", "absolute", 31), ("es:0.1", "cost:0.3", 30),
-        ("ml", "pinball:0.1", 19), ("ml", "absolute", 23), ("ml", "cost:0.3", 17),
+        ("el", "pinball:0.1", 17), ("el", "absolute", 17), ("el", "cost:0.3", 16),
+        ("es:0.1", "pinball:0.1", 21), ("es:0.1", "absolute", 21), ("es:0.1", "cost:0.3", 18),
+        ("ml", "pinball:0.1", 8), ("ml", "absolute", 10), ("ml", "cost:0.3", 5),
     ])
     def test_linear_searches_keep_their_evaluation_counts(self, risk, score, evaluations):
-        # under el, es and ml every kink is listed and the slope is constant
-        # between them, so the binary search alone is exact
+        # under el, es and ml the slope is constant between kinks, so the
+        # search ends on an exact kink: under es and ml, tangent steps narrow
+        # the bracket until its pair points can be listed
         res = solve(CoherentRiskMeasure.parse(risk), ScoreFunction.parse(score), self.X)
         assert res.evaluations == evaluations
         assert res.tol_achieved == 0.0
