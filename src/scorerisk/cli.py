@@ -141,7 +141,7 @@ def run(argv=None) -> int:
     except ContractError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONTRACT
-    except (ScoreriskError, OSError) as exc:
+    except (ScoreriskError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     if args.format == "json":

@@ -59,6 +59,10 @@ def _design_matrix(Y: ScenarioVariable, X: list[ScenarioVariable]) -> np.ndarray
 
 
 def _check_design(B: np.ndarray, p: np.ndarray) -> None:
+    # each column scaled to its largest entry, so that a regressor's units
+    # (1e7 beside the intercept's ones, say) do not read as collinearity
+    top = np.abs(B).max(axis=0)
+    B = B / np.where(top > 0.0, top, 1.0)
     gram = B.T @ (p[:, None] * B)
     if np.linalg.cond(gram) > _COND_LIMIT:
         raise SingularDesignError(

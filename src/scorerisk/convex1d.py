@@ -9,12 +9,12 @@ cross (Kelley, J. SIAM 8, 1960); where the function is piecewise linear
 and one kink lies between the pieces at the ends, that is the kink. It
 stops:
 
-- at listed kinks, by a binary search over the slopes at the gap
-  midpoints; where the function is linear between kinks, the kink where
-  descending stops is the exact answer (width 0). The search probes the
-  gap holding the tangent crossing, first and after each probe that
-  halved the gaps left, and the middle gap after one that did not. While
-  the kinks are too many to list, tangent steps narrow the bracket;
+- at the kinks a caller lists in one sorted array, by a binary search
+  over the slopes at the midpoints of the gaps inside the bracket; where
+  the function is linear between kinks, the kink where descending stops
+  is the exact answer (width 0). The search probes the gap holding the
+  tangent crossing, first and after each probe that halved the gaps
+  left, and the middle gap after one that did not;
 - at any point whose two slopes bracket zero: both are subgradients, so
   the left is >= the left derivative and the right <= the right one, and
   left < 0 <= right makes the point the leftmost minimizer exactly
@@ -46,21 +46,20 @@ from .errors import DomainError
 _MAX_STEPS = 200
 _PAST_TOL = 3  # steps taken after the bracket is under tol
 _NUDGE = 2.0**-10  # where a tangent step lands on an end, step this share of the bracket inside
-Kinks = Callable[[float, float], np.ndarray | None]
 Slopes = Callable[[float], tuple[float, float, float]]
 
 
 def sign_change(slopes: Slopes, lo: float, hi: float, tol: float, *,
                 rightmost: bool = False, strict: bool = False,
-                kinks: Kinks | None = None, linear: bool = False) -> tuple[float, float]:
+                kinks: np.ndarray | None = None, linear: bool = False) -> tuple[float, float]:
     """Final bracket of the point where the slope selection stops being < 0
     (<= 0 with `rightmost`): (y, y) when y is exact, one end twice when the
     point lies outside [lo, hi]. `slopes(y)` is (left, right, g(y)), left
     <= right two subgradients of convex g at y; the selection searched is
     the right one (the left with `rightmost`). `strict`: it is strictly
-    increasing. `kinks(lo, hi)`: the sorted points inside where it may
-    jump, or None while too many to list; with `linear`, it is constant
-    between them.
+    increasing. `kinks`: a sorted array of the points where it may jump,
+    searched only inside (lo, hi); with `linear`, it is constant between
+    them.
     """
     if not tol > 0.0:
         raise DomainError(f"tol must be > 0, got {tol!r}")
@@ -104,17 +103,11 @@ def sign_change(slopes: Slopes, lo: float, hi: float, tol: float, *,
         return (lo, lo) if rightmost else (hi, hi)
     # tol caps the work: a bracket that starts under it takes no steps
     past_tol = _PAST_TOL if hi - lo <= tol else 0
-    bisect = False
-    while kinks is not None and (listed := kinks(lo, hi)) is None and lo < 0.5 * (lo + hi) < hi:
-        width = hi - lo
-        y = 0.5 * (lo + hi) if bisect else tangent()
-        if narrow(y):
-            return y, y
-        bisect = hi - lo > 0.5 * width
-    if kinks is not None and listed is not None:
+    if kinks is not None:
         # gap i runs from points[i] to points[i + 1]; the sentinel gaps -1
         # and points.size - 1 stand for the known slopes at lo and hi
-        points = np.concatenate(([lo], listed, [hi]))
+        inside = kinks[np.searchsorted(kinks, lo, side="right"):np.searchsorted(kinks, hi)]
+        points = np.concatenate(([lo], inside, [hi]))
         below, above = -1, points.size - 1
         guided = True  # probe the gap that holds the tangent crossing
         while above - below > 1:
@@ -164,7 +157,7 @@ def sign_change(slopes: Slopes, lo: float, hi: float, tol: float, *,
 
 
 def minimizer_interval(slopes: Slopes, a: float, b: float, tol: float, *, strict: bool = False,
-                       kinks: Kinks | None = None,
+                       kinks: np.ndarray | None = None,
                        linear: bool = False) -> tuple[float, float, float]:
     """Both ends of the minimizer set in [a, b] and the widest final
     bracket, from `slopes(y)` = (left, right, g(y)). The rightmost end,

@@ -74,7 +74,7 @@ def minimize_convex(
 
     The search starts from the ball around x0 that holds the box
     |x - x0| <= steps twice over. `sweeps` counts the cuts over all
-    restarts, at most `max_sweeps`.
+    restarts, at most `max_sweeps`. OverflowError where a cut is not finite.
     """
     x = np.asarray(x0, dtype=float).copy()
     d = x.size
@@ -90,6 +90,9 @@ def minimize_convex(
                 best_x, best = x, fx
             q = J.T @ g
             depth = math.sqrt(float(q @ q))
+            if not math.isfinite(depth):  # nan from here on: every later cut would be nan
+                raise OverflowError(f"the search overflows: its cut at x = {x.tolist()!r}, "
+                                    f"subgradient {g.tolist()!r}, is not finite")
             lower = max(lower, fx - depth)
             # how far 4 roundings of x move the cut
             slack = 4.0 * _EPS * float(np.abs(g) @ np.abs(x))

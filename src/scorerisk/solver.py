@@ -5,19 +5,20 @@ g(y) = rho(-f(X - y)) over y. The minimum is the deviation value, the
 leftmost minimizer (negated) is the risk value, and the full minimizer
 interval is reported. `convex1d.minimizer_interval` finds both ends from
 the exact one-sided subgradients, both from one payoff gradient a point.
-Pinball-type scores list their kinks in O(n) memory for a binary search
-guided by tangent steps on the values, which also narrow the bracket
-while under es and ml its pair points are too many to list: under el, es
-and ml it ends on an exact kink; under evar and msd the kink it finds is
-exact where its two one-sided slopes bracket zero, and otherwise tangent
-steps go on to the kinks no list holds (where the expectile or the mean
-crosses a payoff). Elsewhere the search ends at a zero slope, two
-adjacent floats, or a few steps past `tol` where the slope jumps at an
-unlisted kink (an es tail change under huber, say). So `tol` caps the
-work, and `tol_achieved` is the widest final bracket. The same gradient
-gives the value as grad . payoff (rho is positively homogeneous), so the
-deviation costs no kernel call at a point the search visited. A
-grid-scan oracle, evaluating rho directly, checks the same quantities.
+Pinball-type scores list their kinks once per solve, in one sorted array
+of at most 2n points (under es and ml only the ties on the tail's
+boundary), for a binary search guided by tangent steps on the values:
+under el, es and ml it ends on an exact kink; under evar and msd the kink
+it finds is exact where its two one-sided slopes bracket zero, and
+otherwise tangent steps go on to the kinks no list holds (where the
+expectile or the mean crosses a payoff). Elsewhere the search ends at a
+zero slope, two adjacent floats, or a few steps past `tol` where the
+slope jumps at an unlisted kink (an es tail change under huber, say). So
+`tol` caps the work, and `tol_achieved` is the widest final bracket. The
+same gradient gives the value as grad . payoff (rho is positively
+homogeneous), so the deviation costs no kernel call at a point the search
+visited. A grid-scan oracle, evaluating rho directly, checks the same
+quantities.
 """
 
 from __future__ import annotations
@@ -94,37 +95,36 @@ class _Objective:
         return out
 
 
-def _kink_lister(rho: CoherentRiskMeasure, s: ScoreFunction, X: ScenarioVariable):
-    """Kinks inside a bracket for the pinball family: the outcomes, and
-    under es and ml, which reorder payoffs, the points a*v_i + (1-a)*v_j
-    where two payoffs tie, listed once at most one per outcome (as one tie
-    value may hold) or 64 remain: no more memory than an evaluation."""
-    vals = np.unique(X.values)
+def _kinks(rho: CoherentRiskMeasure, s: ScoreFunction, X: ScenarioVariable) -> np.ndarray:
+    """Sorted points where g may kink for the pinball family: the outcomes
+    under el, evar and msd; under es and ml the tie points on the tail's
+    boundary, at most 2n. Losses fall from the largest outcome down and from
+    the smallest up, so an es tail holds the i largest and j smallest, and
+    it changes only where the i-th largest ties the j-th smallest, at
+    a*x_i + (1-a)*x_j, with top(i-1) + bottom(j-1) < alpha < top(i) +
+    bottom(j) in mass (where they are one outcome, its own kink). ml's tail
+    is the largest loss: one tie, of the largest and the smallest."""
+    x = X.values
     if rho.kind not in ("es", "ml"):
-        return lambda lo, hi: vals[np.searchsorted(vals, lo, side="right"):np.searchsorted(vals, hi)]
+        return np.unique(x)
     a = 0.5 if s.kind == "absolute" else s.param
-    most = max(vals.size, 64)
-
-    def pairs(lo: float, hi: float):
-        # the k outcomes inside pair into k^2 points inside, so two scalar
-        # searches refuse a wide bracket; k - 2 leaves room for rounding at
-        # the ends, where an outermost outcome's pairs may fall outside
-        inside = int(np.searchsorted(vals, hi)) - int(np.searchsorted(vals, lo, side="right"))
-        if (inside - 2) ** 2 > most:  # most >= 64, so inside > 10 here
-            return None
-        # for each v_i, the partners v_j with a*v_i + (1-a)*v_j in the
-        # bracket form one contiguous range of the sorted outcomes
-        first = np.searchsorted(vals, (lo - a * vals) / (1.0 - a), side="right")
-        last = np.searchsorted(vals, (hi - a * vals) / (1.0 - a))
-        count = np.maximum(last - first, 0)
-        total = int(count.sum())
-        if total > most:
-            return None
-        j = np.repeat(first - np.cumsum(count) + count, count) + np.arange(total)
-        near = np.unique(a * np.repeat(vals, count) + (1.0 - a) * vals[j])
-        return near[(lo < near) & (near < hi)]  # rounding may admit the ends
-
-    return pairs
+    if rho.kind == "ml":
+        return np.array([a * x.max() + (1.0 - a) * x.min()])
+    order = np.argsort(x)
+    v, bottom = x[order], np.concatenate(([0.0], np.cumsum(X.space.p[order])))
+    del order  # each n-sized array alive here adds to the solve's peak memory
+    n, alpha = v.size, rho.param
+    # for the i-th largest, i = 1..n, top(i) = bottom(n) - bottom(n - i); the
+    # inequalities are strict, so runs of masses that vanish in the sums
+    # list no quadratic count of ties, and at equality the tail is the same
+    # on both sides of the tie; j <= n where rounding puts alpha past bottom(n)
+    first = np.maximum(np.searchsorted(bottom, (alpha - bottom[-1]) + bottom[-2::-1],
+                                       side="right"), 1)
+    count = np.maximum(np.minimum(np.searchsorted(
+        bottom, (alpha - bottom[-1]) + bottom[:0:-1]), n) - first + 1, 0)
+    hi = np.repeat(np.arange(n - 1, -1, -1), count)
+    lo = np.repeat(first - np.cumsum(count) + count, count) + np.arange(int(count.sum())) - 1
+    return np.unique(np.where(v[hi] == v[lo], v[hi], a * v[hi] + (1.0 - a) * v[lo]))
 
 
 def solve(rho: CoherentRiskMeasure, s: ScoreFunction, X: ScenarioVariable,
@@ -142,7 +142,7 @@ def solve(rho: CoherentRiskMeasure, s: ScoreFunction, X: ScenarioVariable,
     a = lo0 - _BRACKET_PAD * rng
     b = hi0 + _BRACKET_PAD * rng
     g = _Objective(rho, s, X)
-    kinks = None if s.differentiable else _kink_lister(rho, s, X)
+    kinks = None if s.differentiable else _kinks(rho, s, X)
     left, right, width = convex1d.minimizer_interval(
         g.slopes, a, b, tol, strict=s.smooth_strictly_convex, kinks=kinks,
         linear=kinks is not None and rho.kind in ("el", "es", "ml"))

@@ -1,6 +1,7 @@
 """Command-line front end: reports, exit codes, and golden files."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from scorerisk.cli import EXIT_CONTRACT, fmt_num, run
 from scorerisk.errors import ScoreriskError
@@ -194,6 +197,18 @@ class TestExitCodes:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("command", ["regress", "portfolio"])
+    def test_overflowing_fit_is_named(self, command, capsys, tmp_path):
+        # near 1e300 the ellipsoid's cuts overflow, at once, not after its
+        # 100 000-cut cap; the design is not collinear
+        huge = tmp_path / "huge.csv"
+        huge.write_text("y,x\n1e300,1e300\n-2e300,-1e300\n5e299,5e299\n3e299,-4e299\n")
+        code, out, err = run_cli([command, str(huge)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: the search overflows")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "risk, score", [("es:0.5", "absolute"), ("el", "squared")], ids=["es-absolute", "el-squared"]
     )
@@ -368,3 +383,86 @@ def test_cli_imports_nothing_beyond_numpy_but_the_standard_library():
     assert "scorerisk.cli" in added
     stray = [m for m in added if m.partition(".")[0] not in sys.stdlib_module_names | {"scorerisk"}]
     assert stray == []
+
+
+# parameters at and just past each kind's domain edges, and beyond any
+EDGES = (5e-324, 1e-300, 0.5, 0.9999999999999999, 1.0, 1.0000000000000002, 2.0, 1e300, 0.0,
+         math.inf, math.nan)
+
+
+def specs(grammar: str):
+    """Spec strings of every kind in `grammar`, parameters drawn from EDGES."""
+    terms = grammar.split(" | ")
+    bare = [t for t in terms if ":" not in t]
+    kinds = [t.partition(":")[0] for t in terms if ":" in t]
+    with_param = st.builds(lambda k, v: f"{k}:{v!r}", st.sampled_from(kinds), st.sampled_from(EDGES))
+    return st.one_of(st.sampled_from(bare), with_param)
+
+
+@st.composite
+def tables(draw):
+    """1-200 rows of 1-3 columns at magnitudes 1e-300 to 1e300: continuous,
+    whole multiples (ties) or constant."""
+    n, k = draw(st.integers(1, 200)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for _ in range(k):
+        normal = rng.normal(0.0, 1.0, n)
+        column = draw(st.sampled_from([normal, np.round(2.0 * normal), np.full(n, normal[0])]))
+        columns.append(column * 10.0 ** draw(st.integers(-300, 300)))
+    return np.column_stack(columns)
+
+
+def write_table(path: Path, table: np.ndarray) -> None:
+    names = ["y", "x1", "x2"][: table.shape[1]]
+    rows = [",".join(map(repr, map(float, row))) for row in table]
+    path.write_text("\n".join([",".join(names), *rows]) + "\n")
+
+
+def no_constant(token: str):
+    raise AssertionError(f"stdout holds {token}, which JSON has no spelling for")
+
+
+def run_checked(argv, capfd) -> tuple[int, dict | None]:
+    """cli.run with stdout and stderr, fd 2 included, held to the contract."""
+    capfd.readouterr()
+    code = run(argv)
+    out, err = capfd.readouterr()
+    assert code in (0, 1, 2)
+    if code != 0:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+        return code, None
+    assert err == ""
+    assert out.count("\n") == 1 and out.endswith("\n")
+    return code, json.loads(out, parse_constant=no_constant)
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(["solve", "regress", "portfolio"]),
+       risk=specs(CoherentRiskMeasure.GRAMMAR), score=specs(ScoreFunction.GRAMMAR),
+       tol=st.sampled_from([1e-8, 1e-3]), table=tables(), data=st.data())
+def test_every_input_gives_valid_output_or_one_error_line(command, risk, score, tol, table, data,
+                                                          capfd, tmp_path):
+    path = tmp_path / "table.csv"
+    write_table(path, table)
+    flags = ["--risk", risk, "--score", score]
+    code, _ = run_checked([command, str(path), *flags, "--tol", repr(tol)], capfd)
+    top = np.abs(table[:, 0]).max()
+    if (code != 0 or command != "solve" or top == 0.0
+            or score.partition(":")[0] not in ("pinball", "absolute", "cost")):
+        return
+    # the pinball family is positively homogeneous: R and D scale with the
+    # data (and tol with them) wherever max|x| lies from 1e-150 to 1e300
+    x = table[:, :1] / top
+    scale = 10.0 ** data.draw(st.integers(-150, 300), label="log10 scale")
+    found = []
+    for factor in (1.0, scale):
+        write_table(path, x * factor)
+        code, report = run_checked(["solve", str(path), *flags, "--tol", repr(tol * factor)], capfd)
+        assert code == 0
+        found.append(report)
+    base, scaled = found
+    for key in ("r_value", "d_value"):
+        assert abs(scaled[key] / scale - base[key]) <= 4.0 * tol + 1e-12 * (1.0 + abs(base[key]))

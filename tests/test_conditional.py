@@ -206,6 +206,20 @@ class TestFit:
         with pytest.raises(SingularDesignError):
             fit(EL, SQ, Y, [X1], tol=1e-8)
 
+    def test_regressor_units_do_not_read_as_collinearity(self):
+        # beside the intercept's ones, a regressor in units of 1e7 put the
+        # Gram matrix's condition number past the limit
+        Y = uvar([1.0, 2.0, 0.5, 3.0])
+        x = np.array([1.0, -1.0, 0.5, -0.4])
+        base = fit(EL, SQ, Y, [Y.with_values(x)], tol=1e-9)
+        for k in (7, 50, 100, 300):
+            scaled = fit(EL, SQ, Y, [Y.with_values(x * 10.0**k)], tol=1e-9)
+            assert scaled.betas[0] * 10.0**k == pytest.approx(base.betas[0], rel=1e-6)
+            assert scaled.objective == pytest.approx(base.objective, rel=1e-9)
+            assert scaled.cd == pytest.approx(base.cd, rel=1e-9)
+        with pytest.raises(SingularDesignError):
+            fit(EL, SQ, Y, [Y.with_values(1e8 * x), Y.with_values(2e8 * x - 1.0)], tol=1e-8)
+
     def test_input_validation(self, rng):
         Y = uvar(rng.normal(0, 1, 6))
         with pytest.raises(DomainError):

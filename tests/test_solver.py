@@ -293,16 +293,66 @@ class TestKinkedSearch:
 
     @pytest.mark.parametrize("risk, score, evaluations", [
         ("el", "pinball:0.1", 17), ("el", "absolute", 17), ("el", "cost:0.3", 16),
-        ("es:0.1", "pinball:0.1", 21), ("es:0.1", "absolute", 21), ("es:0.1", "cost:0.3", 18),
-        ("ml", "pinball:0.1", 8), ("ml", "absolute", 10), ("ml", "cost:0.3", 5),
+        ("es:0.1", "pinball:0.1", 14), ("es:0.1", "absolute", 14), ("es:0.1", "cost:0.3", 15),
+        ("ml", "pinball:0.1", 7), ("ml", "absolute", 7), ("ml", "cost:0.3", 7),
     ])
     def test_linear_searches_keep_their_evaluation_counts(self, risk, score, evaluations):
         # under el, es and ml the slope is constant between kinks, so the
-        # search ends on an exact kink: under es and ml, tangent steps narrow
-        # the bracket until its pair points can be listed
+        # search ends on an exact kink
         res = solve(CoherentRiskMeasure.parse(risk), ScoreFunction.parse(score), self.X)
         assert res.evaluations == evaluations
         assert res.tol_achieved == 0.0
+
+    def test_es_and_ml_list_every_point_where_the_slope_changes(self):
+        # every kink of g is an outcome or a pairwise tie point a*v_i +
+        # (1-a)*v_j, so between two candidates g is linear, and one-sided
+        # difference quotients with steps short of the nearest candidate
+        # show exactly where its slope changes
+        rng = np.random.default_rng(11)
+        scores = [ScoreFunction.parse(s)
+                  for s in ("pinball:0.1", "pinball:0.5", "pinball:0.8", "absolute", "cost:0.3")]
+        alphas = [0.05, 0.1, 0.25, 1.0 / 3.0, 0.5, 0.7, 0.9, 0.99, None, "ml"]
+        changes = 0
+        for trial in range(1000):
+            n = int(rng.integers(2, 14))
+            x = [rng.normal(0.0, 1.0, n), rng.integers(-3, 4, n).astype(float),
+                 rng.choice([-1.0, 0.5, 2.0], n),
+                 np.round(rng.standard_t(3, n), 1)][trial % 4]
+            if np.ptp(x) == 0.0:
+                continue
+            p = rng.dirichlet(np.ones(n)) if trial % 3 else np.full(n, 1.0 / n)
+            alpha = alphas[trial % len(alphas)]
+            rho = (CoherentRiskMeasure.ml() if alpha == "ml"
+                   else CoherentRiskMeasure.es(alpha or float(rng.uniform(0.01, 0.99))))
+            s = scores[int(rng.integers(len(scores)))]
+            X = wvar(x, p)
+            listed = solver._kinks(rho, s, X)
+            assert listed.size <= 2 * n
+            v = np.unique(x)
+            a = 0.5 if s.kind == "absolute" else s.param
+            points = np.unique(np.concatenate([v, (a * v[:, None] + (1.0 - a) * v).ravel()]))
+            points = points[np.concatenate(([True], np.diff(points) > 1e-12))]
+            gaps = np.diff(points, prepend=-np.inf, append=np.inf)
+            h = 0.25 * np.minimum(np.minimum(gaps[:-1], gaps[1:]), 1.0)
+            ys = np.stack([points - h, points, points + h], axis=1).ravel()
+            g = solver.evaluate_batch(rho, -s.f(x - ys[:, None]), X.space.p).reshape(-1, 3)
+            jump = np.abs((g[:, 2] - g[:, 1]) - (g[:, 1] - g[:, 0])) / h
+            kinked = points[jump > 1e-9 + 1e-13 * np.abs(g).max() / h]
+            changes += kinked.size
+            near = np.abs(listed[None, :] - kinked[:, None]).min(axis=1, initial=np.inf)
+            missing = kinked[near > 1e-12 * (1.0 + np.abs(kinked))]
+            assert missing.size == 0, (x, p, rho, s, missing)
+        assert changes > 2000
+
+    def test_es_list_stays_linear_where_masses_vanish_in_the_sums(self):
+        # masses of 1e-20 leave the cumulative sums flat, so bands that
+        # compared them with <= would pair every light outcome above with
+        # every light outcome below: 2.6 million ties here
+        k = 1600
+        x = np.concatenate(([0.0], np.linspace(0.1, 0.2, k), [1.0], np.linspace(1.1, 1.2, k), [2.0]))
+        p = np.concatenate(([0.25], np.full(k, 1e-20), [0.5], np.full(k, 1e-20), [0.25]))
+        listed = solver._kinks(CoherentRiskMeasure.es(0.5), ScoreFunction.pinball(0.3), wvar(x, p))
+        assert listed.size <= 2 * x.size
 
 
 class TestOracleAgreement:
