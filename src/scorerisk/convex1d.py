@@ -12,22 +12,25 @@ stops:
 - at the kinks a caller lists in one sorted array, by a binary search
   over the slopes at the midpoints of the gaps inside the bracket; where
   the function is linear between kinks, the kink where descending stops
-  is the exact answer (width 0). The search probes the gap holding the
-  tangent crossing, first and after each probe that halved the gaps
-  left, and the middle gap after one that did not;
+  is the exact answer (width 0), and the two end gaps are not probed:
+  each has the slope at its bracket end. The search probes the gap
+  holding the tangent crossing, first and after each probe that halved
+  the gaps left, and the middle gap after one that did not;
 - at any point whose two slopes bracket zero: both are subgradients, so
   the left is >= the left derivative and the right <= the right one, and
   left < 0 <= right makes the point the leftmost minimizer exactly
   (left <= 0 < right the rightmost), as at a listed kink the search found;
-- past listed kinks where the function is not linear between them, by
-  tangent steps: where it is piecewise linear, as under evar, they land
-  on kinks no list holds;
-- otherwise by the Illinois regula falsi (Dowell & Jarratt, BIT 11,
-  1971). Each kind of step is followed by a bisection where it fails to
-  halve the bracket. The last two stop at a zero of a strictly increasing
-  slope, at two adjacent floats, or a few steps (none if it starts there)
-  after the width drops under `tol`, which happens only where the slope
-  jumps at a point no list holds.
+- past listed kinks where the function is piecewise linear between them,
+  as under evar, by tangent steps: they land on kinks no list holds;
+- otherwise, as where it is smooth between listed kinks (msd), by the
+  Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971) on the slopes
+  facing into the bracket, and once by a probe tol/2 inside an end whose
+  slope is 0, which may lie in a band of slopes rounded to 0 about a
+  strict minimum. Each kind of step is followed by a bisection where it
+  fails to halve the bracket. The last two stop at a zero of a strictly
+  increasing slope, at two adjacent floats, or a few steps (none if it
+  starts there) after the width drops under `tol`, which happens where the
+  slope jumps at a point no list holds or at such a band's edge.
 
 So `tol` caps the work, and the final width is the precision reached.
 `minimizer_interval` searches both ends, the second from where the first
@@ -51,7 +54,8 @@ Slopes = Callable[[float], tuple[float, float, float]]
 
 def sign_change(slopes: Slopes, lo: float, hi: float, tol: float, *,
                 rightmost: bool = False, strict: bool = False,
-                kinks: np.ndarray | None = None, linear: bool = False) -> tuple[float, float]:
+                kinks: np.ndarray | None = None, linear: bool = False,
+                smooth: bool = False) -> tuple[float, float]:
     """Final bracket of the point where the slope selection stops being < 0
     (<= 0 with `rightmost`): (y, y) when y is exact, one end twice when the
     point lies outside [lo, hi]. `slopes(y)` is (left, right, g(y)), left
@@ -59,7 +63,7 @@ def sign_change(slopes: Slopes, lo: float, hi: float, tol: float, *,
     the right one (the left with `rightmost`). `strict`: it is strictly
     increasing. `kinks`: a sorted array of the points where it may jump,
     searched only inside (lo, hi); with `linear`, it is constant between
-    them.
+    them, and with `smooth`, continuous between them.
     """
     if not tol > 0.0:
         raise DomainError(f"tol must be > 0, got {tol!r}")
@@ -77,9 +81,9 @@ def sign_change(slopes: Slopes, lo: float, hi: float, tol: float, *,
         nonlocal lo, at_lo, flo, hi, at_hi, fhi
         pair = slopes(y)
         if descending(pair[side]):
-            lo, at_lo, flo = y, pair, pair[side]
+            lo, at_lo, flo = y, pair, pair[1]
         else:
-            hi, at_hi, fhi = y, pair, pair[side]
+            hi, at_hi, fhi = y, pair, pair[0]
         return exact(pair)
 
     def tangent() -> float:
@@ -94,21 +98,28 @@ def sign_change(slopes: Slopes, lo: float, hi: float, tol: float, *,
         return y if lo < y < hi else lo + 0.5 * width
 
     at_lo, at_hi = slopes(lo), slopes(hi)
-    flo, fhi = at_lo[side], at_hi[side]
-    if not descending(flo):
+    if not descending(at_lo[side]):
         return lo, lo
-    if descending(fhi):
+    if descending(at_hi[side]):
         return hi, hi
+    flo, fhi = at_lo[1], at_hi[0]  # the secant's slopes, each facing into the bracket
     if exact(at_lo) or exact(at_hi):
         return (lo, lo) if rightmost else (hi, hi)
-    # tol caps the work: a bracket that starts under it takes no steps
+    # tol caps the work: a bracket that starts under it takes no steps, and
+    # no probe of the listed kinks unless one lies inside or `linear` holds
     past_tol = _PAST_TOL if hi - lo <= tol else 0
     if kinks is not None:
+        first, last = np.searchsorted(kinks, lo, side="right"), np.searchsorted(kinks, hi)
+    if kinks is not None and (linear or first < last or not past_tol):
         # gap i runs from points[i] to points[i + 1]; the sentinel gaps -1
         # and points.size - 1 stand for the known slopes at lo and hi
-        inside = kinks[np.searchsorted(kinks, lo, side="right"):np.searchsorted(kinks, hi)]
-        points = np.concatenate(([lo], inside, [hi]))
+        points = np.concatenate(([lo], kinks[first:last], [hi]))
         below, above = -1, points.size - 1
+        if linear and above > 1:
+            # each end gap has its end's slope, unless that end is a listed
+            # kink: a midpoint of two adjacent floats may round onto one
+            below = -1 if first and kinks[first - 1] == lo else 0
+            above -= not (last < kinks.size and kinks[last] == hi)
         guided = True  # probe the gap that holds the tangent crossing
         while above - below > 1:
             span = above - below
@@ -127,8 +138,8 @@ def sign_change(slopes: Slopes, lo: float, hi: float, tol: float, *,
     # past the listed kinks g may still be piecewise linear, with kinks no
     # list holds: the tangent steps land on such a kink where it is the
     # only one between the bracket ends
-    tangent_steps = kinks is not None
-    moved, bisect = 0, False
+    tangent_steps = kinks is not None and not smooth
+    moved, bisect, band = 0, False, True
     for _ in range(_MAX_STEPS):
         width = hi - lo
         mid = lo + 0.5 * width
@@ -138,6 +149,10 @@ def sign_change(slopes: Slopes, lo: float, hi: float, tol: float, *,
             y = mid
         elif tangent_steps:
             y = tangent()
+        elif band and 0.0 in (flo, fhi):
+            # a zero slope at an end may be a band of slopes rounded to 0
+            # about a strict minimum, whose edge the secant cannot see
+            band, y = False, hi - 0.5 * tol if fhi == 0.0 else lo + 0.5 * tol
         else:
             y = lo + width * (flo / (flo - fhi))
         secant = lo < y < hi and y != mid
@@ -157,14 +172,14 @@ def sign_change(slopes: Slopes, lo: float, hi: float, tol: float, *,
 
 
 def minimizer_interval(slopes: Slopes, a: float, b: float, tol: float, *, strict: bool = False,
-                       kinks: np.ndarray | None = None,
-                       linear: bool = False) -> tuple[float, float, float]:
+                       kinks: np.ndarray | None = None, linear: bool = False,
+                       smooth: bool = False) -> tuple[float, float, float]:
     """Both ends of the minimizer set in [a, b] and the widest final
     bracket, from `slopes(y)` = (left, right, g(y)). The rightmost end,
     unless `strict`, is searched from the leftmost search's lower end to
     the first point seen where the left selection is > 0. `strict`,
-    `kinks` and `linear` are `sign_change`'s; ends crossed near a strict
-    minimum collapse to their midpoint."""
+    `kinks`, `linear` and `smooth` are `sign_change`'s; ends crossed near
+    a strict minimum collapse to their midpoint."""
     seen: dict[float, tuple[float, float, float]] = {}
 
     def pair(y: float) -> tuple[float, float, float]:
@@ -172,7 +187,7 @@ def minimizer_interval(slopes: Slopes, a: float, b: float, tol: float, *, strict
             seen[y] = slopes(y)
         return seen[y]
 
-    search = dict(kinks=kinks, linear=linear)
+    search = dict(kinks=kinks, linear=linear, smooth=smooth)
     lo, left = sign_change(pair, a, b, tol, strict=strict, **search)
     if strict:
         return left, left, left - lo

@@ -118,7 +118,9 @@ class ScoreFunction(Spec):
         if k == "squared":
             return x * x
         if k in ("pinball", "cost"):
-            return a * np.maximum(x, 0.0) + (1.0 - a) * np.maximum(-x, 0.0)
+            # of two zeros numpy's maximum returns the second: f(+0.0) = +0.0,
+            # and f(-0.0) = -0.0, which every kernel compares equal to 0
+            return np.maximum((a - 1.0) * x, a * x)
         if k == "absolute":
             return np.abs(x)
         if k == "huber":

@@ -5,14 +5,15 @@ g(y) = rho(-f(X - y)) over y. The minimum is the deviation value, the
 leftmost minimizer (negated) is the risk value, and the full minimizer
 interval is reported. `convex1d.minimizer_interval` finds both ends from
 the exact one-sided subgradients, both from one payoff gradient a point.
+es:alpha (alpha < 1/2) and ml solve on the outcomes their tails can hold.
 Pinball-type scores list their kinks once per solve, in one sorted array
 of at most 2n points (under es and ml only the ties on the tail's
 boundary), for a binary search guided by tangent steps on the values:
 under el, es and ml it ends on an exact kink; under evar and msd the kink
 it finds is exact where its two one-sided slopes bracket zero, and
-otherwise tangent steps go on to the kinks no list holds (where the
-expectile or the mean crosses a payoff). Elsewhere the search ends at a
-zero slope, two adjacent floats, or a few steps past `tol` where the
+otherwise evar's tangent steps go on to the kinks no list holds, and
+msd's Illinois steps to its smooth minimum. Elsewhere the search ends at
+a zero slope, two adjacent floats, or a few steps past `tol` where the
 slope jumps at an unlisted kink (an es tail change under huber, say). So
 `tol` caps the work, and `tol_achieved` is the widest final bracket. The
 same gradient gives the value as grad . payoff (rho is positively
@@ -33,7 +34,7 @@ from . import convex1d
 from .errors import ContractError, DomainError
 from .risk import CoherentRiskMeasure, dual_maximizer, evaluate_batch, payoff_gradient
 from .scores import ScoreFunction
-from .spaces import ScenarioVariable, ess_bounds
+from .spaces import FiniteScenarioSpace, ScenarioVariable, ess_bounds
 
 _BRACKET_PAD = 0.1  # widen [essinf, esssup] by this fraction of the range
 MAX_GRID_POINTS = 10**6  # brute_force_oracle's grid: 16 MB, one evaluation a point
@@ -73,7 +74,7 @@ class _Objective:
         del payoff  # one more live row made glibc trim the heap and re-fault it each call
         fp = self.s.fprime_right(z)
         left = right = float(np.dot(grad, fp))
-        if not self.s.differentiable:
+        if not self.s.differentiable and not z.all():  # the sides differ only where X = y
             right = float(np.dot(grad, self.s.fprime_left(z)))
         # on a flat piece each sum rounds to a few ulp of either sign, so within
         # one rounding bound it is zero (the sums differ only where X - y is 0)
@@ -127,6 +128,31 @@ def _kinks(rho: CoherentRiskMeasure, s: ScoreFunction, X: ScenarioVariable) -> n
     return np.unique(np.where(v[hi] == v[lo], v[hi], a * v[hi] + (1.0 - a) * v[lo]))
 
 
+def _weighed(rho: CoherentRiskMeasure, X: ScenarioVariable) -> tuple[CoherentRiskMeasure,
+                                                                      ScenarioVariable]:
+    """rho and the outcomes it weighs at any y. The loss f(x - y) is convex
+    in x, so ml's largest is at the smallest or largest outcome, and an
+    es:alpha tail (the i largest and j smallest) holds no outcome with more
+    than alpha of mass below and above it. es keeps the others, with their
+    mass m renormalized, under es:alpha/m: the same tails and values."""
+    x, p = X.values, X.space.p
+    if rho.kind == "ml":
+        return rho, ScenarioVariable(FiniteScenarioSpace.uniform(2), [x.min(), x.max()])
+    if rho.kind != "es" or rho.param >= 0.5:
+        return rho, X
+    order = np.argsort(x)
+    # the first `low` and last `high` sorted outcomes have at most alpha below or above
+    low, high = (int(np.searchsorted(np.cumsum(p[ends]), rho.param, side="right")) + 1
+                 for ends in (order, order[::-1]))
+    if low + high >= x.size:
+        return rho, X
+    keep = np.ones(x.size, dtype=bool)
+    keep[order[low:x.size - high]] = False
+    m = float(p[keep].sum())
+    return (CoherentRiskMeasure.es(rho.param / m),
+            ScenarioVariable(FiniteScenarioSpace(p[keep] / m), x[keep]))
+
+
 def solve(rho: CoherentRiskMeasure, s: ScoreFunction, X: ScenarioVariable,
           tol: float = 1e-8) -> SolveResult:
     if not 0.0 < tol < math.inf:
@@ -141,11 +167,13 @@ def solve(rho: CoherentRiskMeasure, s: ScoreFunction, X: ScenarioVariable,
 
     a = lo0 - _BRACKET_PAD * rng
     b = hi0 + _BRACKET_PAD * rng
+    rho, X = _weighed(rho, X)
     g = _Objective(rho, s, X)
     kinks = None if s.differentiable else _kinks(rho, s, X)
     left, right, width = convex1d.minimizer_interval(
         g.slopes, a, b, tol, strict=s.smooth_strictly_convex, kinks=kinks,
-        linear=kinks is not None and rho.kind in ("el", "es", "ml"))
+        linear=kinks is not None and rho.kind in ("el", "es", "ml"),
+        smooth=kinks is not None and rho.kind == "msd")
     # endpoints stay inside [essinf, esssup]
     left = min(max(left, lo0), hi0)
     right = min(max(right, lo0), hi0)

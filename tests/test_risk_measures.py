@@ -208,8 +208,17 @@ class TestValues:
     @given(expectile_rows())
     def test_expectile_root_matches_a_full_sort(self, row):
         z, p, alpha = row
-        root = _expectile_root(z[None, :], p, alpha)[0]
+        root = _expectile_root(z, p, alpha)
         assert abs(root - sorted_expectile_root(z, p, alpha)) <= 1e-13 * np.abs(z).max()
+
+    @settings(max_examples=100)
+    @given(st.lists(expectile_rows(), min_size=1, max_size=6))
+    def test_evar_batch_is_the_one_row_kernel_row_by_row(self, rows):
+        # rows of one length on one space, as the grid oracle passes them
+        z, p, alpha = rows[0]
+        Z = np.array([z] + [np.resize(other, z.size) for other, _, _ in rows[1:]])
+        batch = evaluate_batch(CoherentRiskMeasure.evar(alpha), Z, p)
+        assert [-value for value in batch] == [_expectile_root(row, p, alpha) for row in Z]
 
     def test_evar_at_a_tiny_alpha_stays_at_the_minimum(self):
         # alpha E[Z] underflows to 0 here; the root is the minimum to rounding
