@@ -25,7 +25,7 @@ from .risk import CoherentRiskMeasure, dual_maximizer
 from .risk import evaluate as risk_value
 from .scores import ScoreFunction, dminus_y, dplus_y
 from .scores import evaluate as score_value
-from .solver import SolveResult, acceptability_index, brute_force_oracle, minimax_check, solve
+from .solver import SolveResult, acceptability_index, brute_force_oracle, solve
 from .spaces import (
     FiniteScenarioSpace,
     MeasureWeights,
@@ -68,7 +68,6 @@ __all__ = [
     "left_quantile",
     "load_csv",
     "min_deviation_portfolio",
-    "minimax_check",
     "optimal_hedge",
     "risk_value",
     "score_value",

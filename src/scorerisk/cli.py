@@ -88,14 +88,17 @@ def _build_parser() -> argparse.ArgumentParser:
         "hedge": "optimal replication hedge of a target with instruments",
         "oracle-check": "solver vs grid-scan oracle discrepancies",
     }
+    # each command takes only the options it reads, so argparse refuses the rest
     for name, help_text in commands.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("input", help="scenario CSV (optional 'prob' column)")
         cmd.add_argument("--risk", default="el", help=f"risk: {CoherentRiskMeasure.GRAMMAR}")
         cmd.add_argument("--score", default="squared", help=f"score: {ScoreFunction.GRAMMAR}")
         cmd.add_argument("--tol", type=float, default=1e-8)
-        cmd.add_argument("--target", default=None, help="target column name")
-        cmd.add_argument("--regressors", default=None, help="comma-separated column names")
+        if name != "portfolio":
+            cmd.add_argument("--target", default=None, help="target column name")
+        if name in ("regress", "hedge", "portfolio"):
+            cmd.add_argument("--regressors", default=None, help="comma-separated column names")
         cmd.add_argument("--format", choices=("json", "plain"), default="json")
         if name == "oracle-check":
             cmd.add_argument("--grid-step", type=float, default=1e-4)

@@ -100,11 +100,10 @@ def fit(rho: CoherentRiskMeasure, s: ScoreFunction, Y: ScenarioVariable,
     betas.setflags(write=False)
     objective = min(result.value, pinned.d_value)
 
+    # D(Y) is 0 only for a constant Y, which the intercept fits exactly
     base = unconditional.d_value
-    if objective <= max(1e-12, 1e-9 * abs(base)):
+    if base <= 0.0 or objective <= max(1e-12, 1e-9 * base):
         cd = 1.0
-    elif base <= 0.0:
-        cd = float("nan")
     else:
         cd = 1.0 - objective / base
 

@@ -26,13 +26,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
 from . import convex1d
 from .errors import ContractError, DomainError
-from .risk import CoherentRiskMeasure, dual_maximizer, evaluate_batch, payoff_gradient
+from .risk import CoherentRiskMeasure, evaluate_batch, payoff_gradient
 from .scores import ScoreFunction
 from .spaces import FiniteScenarioSpace, ScenarioVariable, ess_bounds
 
@@ -234,67 +233,3 @@ def acceptability_index(rho: CoherentRiskMeasure, s: ScoreFunction,
     if r <= 0.0 and d == 0.0:
         return math.inf
     return 0.0
-
-
-def minimax_check(rho: CoherentRiskMeasure, s: ScoreFunction, X: ScenarioVariable,
-                  n_extreme_samples: int = 2000, seed: int = 0) -> bool:
-    """Check the saddle representation of the deviation for small ES cases.
-
-    D must equal sup over the ES dual polytope of the inner minimum
-    min_y E_q[f(X - y)]. The inner minimum is concave in q, so the sup
-    need not sit on a polytope vertex: vertices give a lower bound, and a
-    dense sample of the polytope (vertices, their random convex mixtures,
-    the base measure, and the worst-case measure at the optimum) must
-    reproduce D within 5e-3.
-    """
-    n = X.space.n
-    if rho.kind != "es":
-        raise DomainError("minimax_check supports ES only")
-    if n > 8:
-        raise DomainError(f"minimax_check needs n <= 8, got {n}")
-    if np.max(np.abs(X.space.p - 1.0 / n)) > 1e-12:
-        raise DomainError("minimax_check needs a uniform scenario space")
-    k_float = rho.param * n
-    k = round(k_float)
-    if abs(k_float - k) > 1e-9 or k < 1:
-        raise DomainError(f"alpha * n must be a positive integer, got {k_float!r}")
-
-    lo0, hi0 = ess_bounds(X)
-    rng = max(hi0 - lo0, 1e-12)
-    a, b = lo0 - rng / 10.0, hi0 + rng / 10.0
-    x = X.values
-
-    def inner_min(q: np.ndarray) -> float:
-        return convex1d.min_value(
-            lambda y: float(np.dot(q, s.f(x - y))), a, b, 1e-11 * (1.0 + rng)
-        )
-
-    vertices = []
-    for subset in combinations(range(n), k):
-        q = np.zeros(n)
-        q[list(subset)] = 1.0 / k
-        vertices.append(q)
-    vertices = np.asarray(vertices)
-    ext_best = max(inner_min(q) for q in vertices)
-
-    result = solve(rho, s, X, tol=1e-10)
-    d = result.d_value
-
-    samples = [X.space.p]
-    payoff = ScenarioVariable(X.space, -s.f(x - result.argmin_lo))
-    samples.append(dual_maximizer(rho, payoff).q)
-    # the concave inner minimum often peaks on a low-dimensional face, so
-    # cover pairwise vertex mixtures explicitly, then fill in with dense
-    # and sparse random mixtures of all vertices
-    for i in range(len(vertices)):
-        for j in range(i + 1, len(vertices)):
-            for t in np.linspace(0.1, 0.9, 9):
-                samples.append(t * vertices[i] + (1.0 - t) * vertices[j])
-    rand = np.random.default_rng(seed)
-    half = n_extreme_samples // 2
-    for conc in (1.0, 0.3):
-        weights = rand.dirichlet(np.full(len(vertices), conc), size=half)
-        samples.extend(weights @ vertices)
-    sample_best = max(ext_best, max(inner_min(q) for q in samples))
-
-    return d + 1e-8 >= ext_best and abs(d - sample_best) <= 5e-3

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -44,6 +45,18 @@ GOLDEN = [
         "assets_portfolio.json",
     ),
 ]
+
+
+# the options besides --risk, --score, --tol and --format that each command reads
+COMMAND_OPTIONS = {
+    "risk": {"--target"},
+    "deviation": {"--target"},
+    "solve": {"--target"},
+    "oracle-check": {"--target", "--grid-step"},
+    "regress": {"--target", "--regressors"},
+    "hedge": {"--target", "--regressors"},
+    "portfolio": {"--regressors"},
+}
 
 
 def run_cli(argv, capsys):
@@ -103,6 +116,15 @@ class TestReports:
             code, out, _ = run_cli([command, str(DATA / "regression.csv"), "--target", "y", *pair], capsys)
             assert code == 0
             assert json.loads(out)[field] >= 0.0
+
+    def test_constant_target_fits_with_cd_one(self, capsys, tmp_path):
+        data = tmp_path / "constant.csv"
+        data.write_text("y,x\n2,0.3\n2,1.7\n2,-0.4\n2,2.2\n2,0.9\n")
+        for score in ("pinball:0.3", "absolute", "squared"):
+            code, out, _ = run_cli(["regress", str(data), "--target", "y", "--score", score],
+                                   capsys)
+            assert code == 0
+            assert '"cd":1,' in out
 
     def test_json_escapes_column_names(self, capsys, tmp_path):
         data = tmp_path / "quoted.csv"
@@ -309,6 +331,25 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as excinfo:
             run(["frobnicate", str(DATA / "quartet.csv")])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("command, options", COMMAND_OPTIONS.items(),
+                             ids=list(COMMAND_OPTIONS))
+    def test_help_lists_only_the_options_read(self, command, options, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            run([command, "--help"])
+        assert excinfo.value.code == 0
+        listed = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+        assert listed == {"--help", "--risk", "--score", "--tol", "--format", *options}
+
+    @pytest.mark.parametrize("command, option", [
+        (command, option) for command, options in COMMAND_OPTIONS.items()
+        for option in ("--target", "--regressors", "--grid-step") if option not in options
+    ])
+    def test_option_the_command_does_not_read_is_refused(self, command, option, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            run([command, str(DATA / "quartet.csv"), option, "x"])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {option} x" in capsys.readouterr().err
 
 
 EDGE_PARAMETERS = [5e-324, 1e-300, 1e-5, 0.1, 0.1234564, 0.1234567, 1 / 3, 0.5,

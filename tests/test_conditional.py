@@ -526,6 +526,16 @@ class TestCdMetric:
         result = fit(EL, SQ, Y, X, tol=1e-9)
         assert result.cd <= 1.0
 
+    @pytest.mark.parametrize("risk", ["el", "es:0.2", "ml"])
+    @pytest.mark.parametrize("score", ["pinball:0.3", "absolute", "squared"])
+    def test_constant_target_fits_exactly(self, risk, score):
+        # D(Y) = 0 only for a constant Y, which the intercept fits; the
+        # pinball fits stop about 1e-9 off the exact vertex
+        Y = uvar(np.full(5, 2.0))
+        result = fit(CoherentRiskMeasure.parse(risk), ScoreFunction.parse(score), Y,
+                     [Y.with_values([0.3, 1.7, -0.4, 2.2, 0.9])])
+        assert result.cd == 1.0
+
     def test_constant_target_rejected(self, rng):
         Y = uvar(np.full(6, 2.0))
         X = [Y.with_values(rng.normal(0, 1, 6))]

@@ -7,7 +7,7 @@ import pytest
 from scipy.optimize import brentq
 
 from scorerisk import DomainError
-from scorerisk.convex1d import minimizer_interval, sign_change
+from scorerisk.convex1d import min_value, minimizer_interval, sign_change
 from scorerisk.convexnd import minimize_convex
 
 TOL = 1e-9
@@ -95,6 +95,13 @@ class Counted:
     def __call__(self, y):
         self.calls += 1
         return self.slopes(y)
+
+
+class TestMinValue:
+    def test_rejects_nonpositive_tol(self):
+        for tol in (0.0, -1.0, math.nan):
+            with pytest.raises(DomainError):
+                min_value(abs, -1.0, 1.0, tol)
 
 
 class TestSignChange:
@@ -197,6 +204,27 @@ class TestSignChange:
             assert abs(lo - vertex) <= 1e-15
             assert slope.calls <= 10
 
+    @pytest.mark.parametrize("rightmost", [False, True])
+    def test_gap_midpoint_whose_pair_brackets_zero_is_exact(self, rightmost):
+        # |y| kinks at 0, which no list holds but which is the midpoint of
+        # the listed gap [-1, 1] that the first tangent crossing points to
+        slope = Counted(lambda y: (-1.0 if y <= 0.0 else 1.0, -1.0 if y < 0.0 else 1.0, abs(y)))
+        found = sign_change(slope, -2.0, 2.0, 1e-9, rightmost=rightmost,
+                            kinks=np.array([-1.0, 1.0]))
+        assert found == (0.0, 0.0)
+        assert slope.calls == 3
+
+    @pytest.mark.parametrize("rightmost", [False, True])
+    def test_tangent_step_landing_on_the_kink_is_exact(self, rightmost):
+        # g = max(c - y, 2 (y - c)) with c dyadic: the tangent crossing from
+        # [0, 1] is c to the last bit, and there left < 0 < right
+        c = 0.375
+        slope = Counted(lambda y: (-1.0 if y <= c else 2.0, -1.0 if y < c else 2.0,
+                                   max(c - y, 2.0 * (y - c))))
+        found = sign_change(slope, -1.0, 1.0, 1e-9, rightmost=rightmost, kinks=np.empty(0))
+        assert found == (c, c)
+        assert slope.calls == 4  # the ends, the midpoint 0 and c
+
     def test_differentiable_slope_is_never_certified(self):
         # left == right everywhere, so no pair brackets zero: the tangent
         # steps end on a bracket under tol, not on one point
@@ -233,3 +261,14 @@ class TestMinimizeConvex:
         assert abs(result.x[0]) <= TOL
         assert 1.0 - TOL <= result.x[1] <= 2.0 + TOL
         assert result.value == pytest.approx(0.0, abs=2 * TOL)
+
+    def test_cut_no_point_can_beat_the_best_ends_the_search(self):
+        # |x| from its minimizer 0, whose subgradient 1 sends the centre to
+        # -1; there the cut's least value on the ellipsoid [-2, 0] is F = 0
+        # at 0, the best point, so the search returns it
+        def F(x):
+            return abs(float(x[0])), np.array([1.0 if x[0] >= 0.0 else -1.0])
+
+        result = minimize_convex(F, np.zeros(1), np.ones(1))
+        assert (result.x.tolist(), result.value, result.foc_residual, result.sweeps) == (
+            [0.0], 0.0, 0.0, 2)

@@ -19,7 +19,6 @@ from scorerisk import (
     convex1d,
     fit,
     left_quantile,
-    minimax_check,
     risk_value,
     solve,
     solver,
@@ -652,28 +651,3 @@ class TestAcceptabilityIndex:
 
     def test_unacceptable_constant(self):
         assert acceptability_index(EL, ScoreFunction.squared(), uvar([-2, -2])) == 0.0
-
-
-class TestMinimaxCheck:
-    def test_worked_example(self):
-        assert minimax_check(
-            CoherentRiskMeasure.es(0.5), ScoreFunction.absolute(), uvar([1, 2, 3, 4])
-        )
-
-    def test_point_mass_vertices(self):
-        assert minimax_check(
-            CoherentRiskMeasure.es(0.25), ScoreFunction.squared(), uvar([1.0, 2.0, 3.0, 4.0])
-        )
-
-    def test_preconditions(self, rng):
-        X = uvar(rng.normal(0, 1, 4))
-        with pytest.raises(DomainError):
-            minimax_check(EL, ScoreFunction.absolute(), X)
-        with pytest.raises(DomainError):
-            minimax_check(CoherentRiskMeasure.es(0.3), ScoreFunction.absolute(), X)
-        big = uvar(rng.normal(0, 1, 10))
-        with pytest.raises(DomainError):
-            minimax_check(CoherentRiskMeasure.es(0.5), ScoreFunction.absolute(), big)
-        skew = wvar(rng.normal(0, 1, 4), [0.4, 0.3, 0.2, 0.1])
-        with pytest.raises(DomainError):
-            minimax_check(CoherentRiskMeasure.es(0.5), ScoreFunction.absolute(), skew)

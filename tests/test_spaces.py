@@ -52,6 +52,10 @@ class TestFiniteScenarioSpace:
         with pytest.raises(ValidationError):
             FiniteScenarioSpace.uniform(0)
 
+    def test_rejects_two_dimensional(self):
+        with pytest.raises(ValidationError, match="one-dimensional"):
+            FiniteScenarioSpace([[0.5, 0.5]])
+
     def test_immutable(self):
         space = FiniteScenarioSpace.uniform(2)
         with pytest.raises(ValueError):
@@ -78,6 +82,22 @@ class TestScenarioVariable:
         X = uvar(raw)
         raw[0] = 99.0
         assert X.values[0] == 1.0
+
+
+class TestEqualityAndHash:
+    def test_spaces_and_weights_compare_by_their_vectors(self):
+        for make in (FiniteScenarioSpace, MeasureWeights):
+            a, b = make([0.25, 0.75]), make([0.25, 0.75])
+            assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+            assert a != make([0.75, 0.25])
+        assert FiniteScenarioSpace([0.5, 0.5]) != MeasureWeights([0.5, 0.5])
+
+    def test_variables_compare_by_space_and_values(self):
+        X, Y = wvar([1.0, 2.0], [0.25, 0.75]), wvar([1.0, 2.0], [0.25, 0.75])
+        assert X == Y and hash(X) == hash(Y) and len({X, Y}) == 1
+        assert X != wvar([2.0, 1.0], [0.25, 0.75])
+        assert X != wvar([1.0, 2.0], [0.75, 0.25])
+        assert X != X.space
 
 
 class TestMeasureWeights:
@@ -137,6 +157,10 @@ class TestLeftQuantile:
     def test_unsorted_input(self):
         X = uvar([10, -5, 0])
         assert left_quantile(X, MeasureWeights.from_space(X.space), 0.4) == 0.0
+
+    def test_length_mismatch(self):
+        with pytest.raises(DimensionError):
+            left_quantile(uvar([1, 2, 3]), MeasureWeights([0.5, 0.5]), 0.5)
 
     def test_alpha_domain(self):
         X = uvar([1, 2])
