@@ -12,7 +12,7 @@ from .applications import (
     min_deviation_portfolio,
     optimal_hedge,
 )
-from .conditional import RegressionFit, cd_metric, conditional_risk, conditional_risk_row, fit
+from .conditional import RegressionFit, conditional_risk, fit
 from .errors import (
     ContractError,
     DimensionError,
@@ -56,9 +56,7 @@ __all__ = [
     "ValidationError",
     "acceptability_index",
     "brute_force_oracle",
-    "cd_metric",
     "conditional_risk",
-    "conditional_risk_row",
     "dminus_y",
     "dplus_y",
     "dual_maximizer",

@@ -117,9 +117,9 @@ def _pick_target(variables: dict, name):
     return name, variables[name]
 
 
-def _pick_regressors(variables: dict, spec, exclude: str) -> list[tuple[str, ScenarioVariable]]:
+def _pick_regressors(variables: dict, spec, exclude) -> tuple[list[str], list[ScenarioVariable]]:
     if spec is None:
-        chosen = [(k, v) for k, v in variables.items() if k != exclude]
+        names = [k for k in variables if k != exclude]
     else:
         names = [n.strip() for n in spec.split(",") if n.strip()]
         missing = [n for n in names if n not in variables]
@@ -127,10 +127,9 @@ def _pick_regressors(variables: dict, spec, exclude: str) -> list[tuple[str, Sce
             raise ScoreriskError(
                 f"columns {missing!r} not in input; available: {', '.join(variables)}"
             )
-        chosen = [(n, variables[n]) for n in names]
-    if not chosen:
+    if not names:
         raise ScoreriskError("no regressor columns selected")
-    return chosen
+    return names, [variables[n] for n in names]
 
 
 def run(argv=None) -> int:
@@ -158,55 +157,32 @@ def _dispatch(args) -> dict:
     rho = CoherentRiskMeasure.parse(args.risk)
     score = ScoreFunction.parse(args.score)
     _, variables = load_csv(args.input)
-    command = args.command
+    header = {"command": args.command, "risk": rho.spec_string(), "score": score.spec_string()}
 
-    if command in ("risk", "deviation", "solve", "oracle-check"):
-        name, X = _pick_target(variables, args.target)
-        header = {
-            "command": command,
-            "risk": rho.spec_string(),
-            "score": score.spec_string(),
-            "target": name,
-        }
-        if command == "oracle-check":
-            res = solver.solve(rho, score, X, args.tol)
-            ref = solver.brute_force_oracle(rho, score, X, args.grid_step)
-            scale = max(1.0, abs(ref.d_value))
-            return {
-                **header,
-                "d_value": res.d_value,
-                "d_value_oracle": ref.d_value,
-                "d_rel_err": abs(res.d_value - ref.d_value) / scale,
-                "argmin_lo_err": abs(res.argmin_lo - ref.argmin_lo),
-                "argmin_hi_err": abs(res.argmin_hi - ref.argmin_hi),
-            }
-        res = solver.solve(rho, score, X, args.tol)
-        if command == "risk":
-            return {**header, "r_value": res.r_value}
-        if command == "deviation":
-            return {**header, "d_value": res.d_value}
+    if args.command == "portfolio":
+        columns, assets = _pick_regressors(variables, args.regressors, exclude=None)
+        direct_w, direct_d = applications.min_deviation_portfolio(
+            rho, score, assets, method="direct", tol=args.tol
+        )
+        reg_w, reg_d = applications.min_deviation_portfolio(
+            rho, score, assets, method="regression", tol=args.tol
+        )
         return {
             **header,
-            "r_value": res.r_value,
-            "d_value": res.d_value,
-            "argmin_lo": res.argmin_lo,
-            "argmin_hi": res.argmin_hi,
-            "evaluations": res.evaluations,
+            "assets": columns,
+            "direct_weights": list(direct_w.w),
+            "direct_deviation": direct_d,
+            "regression_weights": list(reg_w.w),
+            "regression_deviation": reg_d,
+            "max_weight_discrepancy": float(np.max(np.abs(direct_w.w - reg_w.w))),
+            "deviation_discrepancy": abs(direct_d - reg_d),
         }
 
-    if command in ("regress", "hedge"):
-        name, Y = _pick_target(variables, args.target)
-        chosen = _pick_regressors(variables, args.regressors, exclude=name)
-        columns = [c for c, _ in chosen]
-        regs = [v for _, v in chosen]
-        header = {
-            "command": command,
-            "risk": rho.spec_string(),
-            "score": score.spec_string(),
-            "target": name,
-            "regressors": columns,
-        }
-        if command == "regress":
+    name, Y = _pick_target(variables, args.target)
+    header["target"] = name
+    if args.command in ("regress", "hedge"):
+        header["regressors"], regs = _pick_regressors(variables, args.regressors, exclude=name)
+        if args.command == "regress":
             fit_result = conditional.fit(rho, score, Y, regs, args.tol)
             return {
                 **header,
@@ -224,27 +200,30 @@ def _dispatch(args) -> dict:
             "residual_deviation": hedge.residual_deviation,
         }
 
-    # portfolio
-    chosen = _pick_regressors(variables, args.regressors, exclude=None)
-    columns = [c for c, _ in chosen]
-    assets = [v for _, v in chosen]
-    direct_w, direct_d = applications.min_deviation_portfolio(
-        rho, score, assets, method="direct", tol=args.tol
-    )
-    reg_w, reg_d = applications.min_deviation_portfolio(
-        rho, score, assets, method="regression", tol=args.tol
-    )
+    res = solver.solve(rho, score, Y, args.tol)
+    if args.command == "risk":
+        return {**header, "r_value": res.r_value}
+    if args.command == "deviation":
+        return {**header, "d_value": res.d_value}
+    if args.command == "solve":
+        return {
+            **header,
+            "r_value": res.r_value,
+            "d_value": res.d_value,
+            "argmin_lo": res.argmin_lo,
+            "argmin_hi": res.argmin_hi,
+            "evaluations": res.evaluations,
+        }
+    # oracle-check
+    ref = solver.brute_force_oracle(rho, score, Y, args.grid_step)
+    scale = max(1.0, abs(ref.d_value))
     return {
-        "command": "portfolio",
-        "risk": rho.spec_string(),
-        "score": score.spec_string(),
-        "assets": columns,
-        "direct_weights": list(direct_w.w),
-        "direct_deviation": direct_d,
-        "regression_weights": list(reg_w.w),
-        "regression_deviation": reg_d,
-        "max_weight_discrepancy": float(np.max(np.abs(direct_w.w - reg_w.w))),
-        "deviation_discrepancy": abs(direct_d - reg_d),
+        **header,
+        "d_value": res.d_value,
+        "d_value_oracle": ref.d_value,
+        "d_rel_err": abs(res.d_value - ref.d_value) / scale,
+        "argmin_lo_err": abs(res.argmin_lo - ref.argmin_lo),
+        "argmin_hi_err": abs(res.argmin_hi - ref.argmin_hi),
     }
 
 

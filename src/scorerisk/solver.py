@@ -154,6 +154,10 @@ def _weighed(rho: CoherentRiskMeasure, X: ScenarioVariable) -> tuple[CoherentRis
 
 def solve(rho: CoherentRiskMeasure, s: ScoreFunction, X: ScenarioVariable,
           tol: float = 1e-8) -> SolveResult:
+    """(R, D, B_X) of X under rho and s. `tol` is an absolute width in the
+    outcomes' units: the search stops once its bracket is narrower, and a
+    bracket that starts narrower takes no step, so outcomes much smaller
+    than tol need a smaller tol."""
     if not 0.0 < tol < math.inf:
         raise DomainError(f"tol must be > 0 and finite, got {tol!r}")
     lo0, hi0 = ess_bounds(X)

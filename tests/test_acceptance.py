@@ -18,7 +18,6 @@ from scorerisk import (
     MeasureWeights,
     ScoreFunction,
     brute_force_oracle,
-    cd_metric,
     conditional_risk,
     dual_maximizer,
     expectation,

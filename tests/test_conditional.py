@@ -18,9 +18,7 @@ from scorerisk import (
     DomainError,
     ScoreFunction,
     SingularDesignError,
-    cd_metric,
     conditional_risk,
-    conditional_risk_row,
     fit,
     solve,
 )
@@ -169,15 +167,11 @@ class TestFit:
             assert result.objective <= d
             assert result.objective == pytest.approx(d, rel=1e-9, abs=1e-12)
 
-    def test_predict_and_rows(self):
+    def test_conditional_risk_of_an_exact_fit(self):
         X1 = uvar([0.0, 1.0, 2.0, 3.0])
         Y = X1.with_values(2.0 + 3.0 * X1.values)
         result = fit(EL, SQ, Y, [X1], tol=1e-10)
-        assert conditional_risk_row(result, [1.0]) == pytest.approx(-5.0, abs=1e-7)
         np.testing.assert_allclose(conditional_risk(result, [X1]), -Y.values, atol=1e-7)
-        np.testing.assert_allclose(result.predict(X1.values[:, None]), Y.values, atol=1e-7)
-        with pytest.raises(DimensionError):
-            conditional_risk_row(result, [1.0, 2.0])
 
     def test_conditional_risk_checks_its_regressors(self, rng):
         Y, X, A, y, p = random_design(rng, m=12, n=2)
@@ -512,7 +506,6 @@ class TestCdMetric:
         ssr = float(p @ (y - full @ coef) ** 2)
         sst = float(p @ (y - float(p @ y)) ** 2)
         assert result.cd == pytest.approx(1.0 - ssr / sst, abs=1e-6)
-        assert cd_metric(EL, SQ, Y, X, result) == pytest.approx(result.cd, abs=1e-9)
 
     def test_independent_noise_near_zero(self, rng):
         y = rng.normal(0, 1, 40)
@@ -529,16 +522,23 @@ class TestCdMetric:
     @pytest.mark.parametrize("risk", ["el", "es:0.2", "ml"])
     @pytest.mark.parametrize("score", ["pinball:0.3", "absolute", "squared"])
     def test_constant_target_fits_exactly(self, risk, score):
-        # D(Y) = 0 only for a constant Y, which the intercept fits; the
-        # pinball fits stop about 1e-9 off the exact vertex
+        # D(Y) = 0 only for a constant Y, whose start (-R(Y), 0) the fit
+        # returns; the pinball fits stop about 1e-9 off that vertex
         Y = uvar(np.full(5, 2.0))
         result = fit(CoherentRiskMeasure.parse(risk), ScoreFunction.parse(score), Y,
                      [Y.with_values([0.3, 1.7, -0.4, 2.2, 0.9])])
         assert result.cd == 1.0
 
-    def test_constant_target_rejected(self, rng):
-        Y = uvar(np.full(6, 2.0))
-        X = [Y.with_values(rng.normal(0, 1, 6))]
-        dummy = fit(EL, SQ, uvar(rng.normal(0, 1, 6)), X, tol=1e-8)
-        with pytest.raises(DomainError):
-            cd_metric(EL, SQ, Y, X, dummy)
+    @pytest.mark.parametrize("risk", ["el", "es:0.2", "ml"])
+    @pytest.mark.parametrize("score", ["pinball:0.3", "absolute", "squared"])
+    def test_nearly_constant_target_is_no_worse_than_its_start(self, risk, score):
+        # D(Y) is at most 1e-12, far below the ellipsoid's tol: its final
+        # centre can score 1e-9, a cd of -2 000, and under squared every
+        # objective lies below an absolute floor such as 1e-12
+        rho, s = CoherentRiskMeasure.parse(risk), ScoreFunction.parse(score)
+        Y = uvar([2.0, 2.000000000001, 2.0, 1.999999999999, 2.0])
+        result = fit(rho, s, Y, [Y.with_values([0.3, 1.7, -0.4, 2.2, 0.9])])
+        d = solve(rho, s, Y).d_value
+        assert result.objective <= d
+        assert 0.0 <= result.cd <= 1.0
+        assert result.cd == pytest.approx(1.0 - result.objective / d)
